@@ -348,6 +348,21 @@ out=$(dune exec bin/taskalloc.exe -- fuzz --lazy --iters 200 --seed 5)
 echo "$out" | grep -q " 0 failures" || {
     echo "FAIL: lazy differential campaign found discrepancies"; echo "$out"; exit 1; }
 
+# the campaign flags are one choice: a conflicting pair is a usage
+# error, not a silent pick of one campaign
+echo "== CLI smoke: conflicting fuzz campaigns rejected =="
+rc=0
+dune exec bin/taskalloc.exe -- fuzz --lazy --disruptions --iters 2 > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 124 ] || { echo "FAIL: fuzz --lazy --disruptions exit $rc (want 124)"; exit 1; }
+
+# encoder options are explicit: no environment variable selects the
+# lazy encoding
+echo "== CLI smoke: environment does not select the encoding =="
+out=$(TASKALLOC_LAZY=1 dune exec bin/taskalloc.exe -- solve --workload tasks12)
+if echo "$out" | grep -q "encoding: lazy (CEGAR)"; then
+    echo "FAIL: TASKALLOC_LAZY=1 switched the encoder"; echo "$out"; exit 1
+fi
+
 # a lazy solve of a named workload must still prove optimality
 echo "== CLI smoke: solve --lazy =="
 out=$(dune exec bin/taskalloc.exe -- solve --workload tasks12 --lazy)
@@ -571,16 +586,5 @@ echo "$out" | grep -q "speedup" || {
     echo "FAIL: daemon bench did not report a speedup"; echo "$out"; exit 1; }
 [ -s BENCH_daemon.json ] || {
     echo "FAIL: BENCH_daemon.json not written"; exit 1; }
-
-# the entire tier-1 suite again with the lazy encoder as the default
-# (dune runtest caches ignore the environment, so drive the test
-# executable directly)
-echo "== tier-1 under TASKALLOC_LAZY=1 =="
-TASKALLOC_LAZY=1 dune exec test/test_main.exe > /dev/null
-
-# and once more with CDCL inprocessing on everywhere: vivification,
-# subsumption and BVE must be invisible to every tier-1 property
-echo "== tier-1 under TASKALLOC_INPROCESS=1 =="
-TASKALLOC_INPROCESS=1 dune exec test/test_main.exe > /dev/null
 
 echo "CI OK"

@@ -95,9 +95,9 @@ let no_fallback_arg =
 let lazy_arg =
   Arg.(
     value
-    & vflag None
+    & vflag false
         [
-          ( Some true,
+          ( true,
             info [ "lazy" ]
               ~doc:
                 "CEGAR encoding: start from the structural abstraction \
@@ -106,16 +106,8 @@ let lazy_arg =
                  and per medium, only when a candidate model mispredicts it.  \
                  Proves the same verdict and optimum as the eager encoding, \
                  usually on a much smaller formula." );
-          ( Some false,
-            info [ "no-lazy" ]
-              ~doc:
-                "Force the eager (full up-front) encoding, overriding the \
-                 $(b,TASKALLOC_LAZY) environment variable." );
+          (false, info [ "no-lazy" ] ~doc:"The eager (full up-front) encoding; the default.");
         ])
-
-let options_of_lazy = function
-  | None -> Encode.default_options (* TASKALLOC_LAZY decides *)
-  | Some lazy_mode -> { Encode.default_options with Encode.lazy_mode }
 
 let jobs_arg =
   let jobs_conv =
@@ -265,7 +257,7 @@ let solve_cmd =
       problem.Model.arch.Model.n_ecus
       (Array.length (Model.all_messages problem))
       (List.length problem.Model.arch.Model.media);
-    let options = options_of_lazy lazy_mode in
+    let options = { Encode.default_options with Encode.lazy_mode } in
     if options.Encode.lazy_mode then Fmt.pr "encoding: lazy (CEGAR)@.";
     let budget =
       budget_of ~obs:(Obs.on () || progress) ~timeout ~max_conflicts ()
@@ -443,32 +435,12 @@ let dump_cmd =
     Term.(const run $ workload_arg $ seed_arg)
 
 let fuzz_cmd =
-  let run iters seed max_vars jobs verbose disruptions lazy_diff inprocess =
+  let module Fuzz = Taskalloc_fuzz.Fuzz in
+  let run iters seed max_vars jobs verbose campaign =
     let log = if verbose then fun s -> Fmt.pr "c %s@." s else ignore in
-    if inprocess then begin
-      let report =
-        Taskalloc_fuzz.Fuzz.run_inprocess ~max_vars ~jobs ~log ~iters ~seed ()
-      in
-      Fmt.pr "%a@?" Taskalloc_fuzz.Fuzz.pp_inprocess_report report;
-      if report.Taskalloc_fuzz.Fuzz.i_failures <> [] then exit 1
-    end
-    else if lazy_diff then begin
-      let report = Taskalloc_fuzz.Fuzz.run_lazy ~jobs ~log ~iters ~seed () in
-      Fmt.pr "%a@?" Taskalloc_fuzz.Fuzz.pp_lazy_report report;
-      if report.Taskalloc_fuzz.Fuzz.l_failures <> [] then exit 1
-    end
-    else if disruptions then begin
-      let report =
-        Taskalloc_fuzz.Fuzz.run_disruptions ~jobs ~log ~iters ~seed ()
-      in
-      Fmt.pr "%a@?" Taskalloc_fuzz.Fuzz.pp_disruption_report report;
-      if report.Taskalloc_fuzz.Fuzz.d_failures <> [] then exit 1
-    end
-    else begin
-      let report = Taskalloc_fuzz.Fuzz.run ~max_vars ~jobs ~log ~iters ~seed () in
-      Fmt.pr "%a@?" Taskalloc_fuzz.Fuzz.pp_report report;
-      if report.Taskalloc_fuzz.Fuzz.failures <> [] then exit 1
-    end
+    let report = Fuzz.run ~max_vars ~jobs ~log ~campaign ~iters ~seed () in
+    Fmt.pr "%a@?" Fuzz.pp_report report;
+    if report.Fuzz.failures <> [] then exit 1
   in
   let iters_arg =
     Arg.(
@@ -490,55 +462,58 @@ let fuzz_cmd =
           ~doc:"Largest instance size in variables (clamped to 2..16).")
   in
   let verbose_arg =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Print each discrepancy as it is found.")
+    Arg.(value & flag & info [ "verbose" ] ~doc:"Print one line per discrepancy: iteration, seed, error.")
   in
-  let disruptions_arg =
+  let campaign_arg =
     Arg.(
       value
-      & flag
-      & info [ "disruptions" ]
-          ~doc:
-            "Fuzz the online repair engine instead: random disruption \
-             campaigns (inject event, repair, simulate, assert deadlines, \
-             repeat), cross-checked against a brute-force minimal-migration \
-             oracle.  With this flag, $(b,--jobs) spreads campaigns over \
-             domains and $(b,--max-vars) is ignored.")
-  in
-  let lazy_diff_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "lazy" ]
-          ~doc:
-            "Differential lazy-vs-eager campaign instead: random allocation \
-             problems solved twice — once with the eager encoding, once with \
-             the CEGAR lazy encoding — requiring identical verdicts, \
-             identical proven optima, and analyzer-clean allocations on both \
-             sides.  With this flag, $(b,--jobs) spreads cases over domains \
-             and $(b,--max-vars) is ignored.")
-  in
-  let inprocess_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "inprocess" ]
-          ~doc:
-            "Differential inprocessing campaign instead: every case is \
-             solved with and without the CDCL inprocessing passes \
-             (vivification, subsumption, bounded variable elimination), \
-             requiring identical verdicts and optima, DRUP-certified Unsat \
-             answers with the passes active, and analyzer-clean \
-             allocations.  $(b,--jobs) spreads cases over domains.")
+      & vflag Fuzz.Sat
+          [
+            ( Fuzz.Disruptions,
+              info [ "disruptions" ]
+                ~doc:
+                  "Fuzz the online repair engine instead: random disruption \
+                   campaigns (inject event, repair, simulate, assert \
+                   deadlines, repeat), cross-checked against a brute-force \
+                   minimal-migration oracle." );
+            ( Fuzz.Lazy,
+              info [ "lazy" ]
+                ~doc:
+                  "Differential lazy-vs-eager campaign instead: random \
+                   allocation problems solved with the eager and with the \
+                   CEGAR lazy encoding, requiring identical verdicts, \
+                   identical proven optima, and analyzer-clean allocations \
+                   on both sides." );
+            ( Fuzz.Inprocess,
+              info [ "inprocess" ]
+                ~doc:
+                  "Differential inprocessing campaign instead: every case is \
+                   solved with the CDCL inprocessing passes (vivification, \
+                   subsumption, bounded variable elimination) against the \
+                   oracle, with DRUP-certified Unsat answers, and one random \
+                   allocation problem is solved with and without them, \
+                   requiring identical verdicts and optima and \
+                   analyzer-clean allocations." );
+          ])
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
          "Differential-fuzz the solver against a brute-force oracle, certifying \
           every Unsat answer with the DRUP checker; exits non-zero on any \
-          discrepancy and prints a minimized reproducer")
+          discrepancy and prints a minimized reproducer"
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "The campaign flags are mutually exclusive.  $(b,--jobs) races \
+              a portfolio per case in the default campaign and spreads \
+              iterations over domains in the others; $(b,--max-vars) bounds \
+              the CNF/PB cases of the default and $(b,--inprocess) campaigns.";
+         ])
     Term.(
       const run $ iters_arg $ fuzz_seed_arg $ max_vars_arg $ jobs_arg
-      $ verbose_arg $ disruptions_arg $ lazy_diff_arg $ inprocess_arg)
+      $ verbose_arg $ campaign_arg)
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON instead of text.")

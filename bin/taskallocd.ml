@@ -99,10 +99,10 @@ let queue_arg =
 let lazy_arg =
   Arg.(
     value
-    & vflag None
+    & vflag false
         [
-          (Some true, info [ "lazy" ] ~doc:"Default new sessions to the lazy (CEGAR) encoding.");
-          (Some false, info [ "no-lazy" ] ~doc:"Default new sessions to the eager encoding, overriding $(b,TASKALLOC_LAZY).");
+          (true, info [ "lazy" ] ~doc:"Default new sessions to the lazy (CEGAR) encoding.");
+          (false, info [ "no-lazy" ] ~doc:"Default new sessions to the eager encoding (the default).");
         ])
 
 let trace_arg =
@@ -145,10 +145,7 @@ let main socket tcp prometheus flight workers max_sessions queue lazy_mode
     | None -> `Unix socket
   in
   let options =
-    Option.map
-      (fun lazy_mode ->
-        { Taskalloc_core.Encode.default_options with Taskalloc_core.Encode.lazy_mode })
-      lazy_mode
+    { Taskalloc_core.Encode.default_options with Taskalloc_core.Encode.lazy_mode }
   in
   let cfg =
     {

@@ -27,16 +27,9 @@ type t = { bits : Circuits.bit array; hi : int }
 
 type bit = Circuits.bit
 
-let create ?(mode = Pb.Native) ?inprocess () =
+let create ?(mode = Pb.Native) ?(inprocess = false) () =
   let solver = Solver.create () in
-  (* one environment variable turns CDCL inprocessing on for every
-     solver built through this layer (encode/opt/explain/repair);
-     [inprocess] overrides it either way, so differential campaigns
-     can compare the two configurations within one process *)
-  (match inprocess with
-  | Some true -> Inprocess.install solver
-  | Some false -> ()
-  | None -> Inprocess.maybe_install_from_env solver);
+  if inprocess then Inprocess.install solver;
   { solver; mode; n_int_vars = 0 }
 
 let solver ctx = ctx.solver

@@ -21,10 +21,9 @@ type t
 
 type bit = Circuits.bit
 
-(** [create ?mode ?inprocess ()] builds a fresh context.  [inprocess]
-    forces CDCL inprocessing on or off for this solver; when absent
-    the [TASKALLOC_INPROCESS] environment variable decides
-    ({!Taskalloc_sat.Inprocess.maybe_install_from_env}). *)
+(** [create ?mode ?inprocess ()] builds a fresh context.  With
+    [inprocess] (default [false]) the solver runs CDCL inprocessing
+    ({!Taskalloc_sat.Inprocess.install}). *)
 val create : ?mode:Pb.mode -> ?inprocess:bool -> unit -> ctx
 val solver : ctx -> Taskalloc_sat.Solver.t
 val upper_bound : t -> int

@@ -59,16 +59,8 @@ type options = {
   tie_breaking : tie_breaking;
   max_slot : int; (* upper bound on TDMA slot-length variables *)
   lazy_mode : bool; (* CEGAR: abstract eqs. 6-12, refine on demand *)
-  inprocess : bool option; (* force inprocessing; None = env decides *)
+  inprocess : bool option; (* CDCL inprocessing; None = off *)
 }
-
-(* TASKALLOC_LAZY=1 flips the default encoder to the CEGAR abstraction
-   so the whole stack (CLI, tests, explain/repair sessions) can be
-   exercised on the lazy path without touching call sites. *)
-let env_lazy =
-  match Sys.getenv_opt "TASKALLOC_LAZY" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
 
 let default_options =
   {
@@ -76,7 +68,7 @@ let default_options =
     alloc_encoding = One_hot;
     tie_breaking = Solver_ties;
     max_slot = 0;
-    lazy_mode = env_lazy;
+    lazy_mode = false;
     inprocess = None;
   }
 

@@ -50,15 +50,16 @@ type options = {
       (** CEGAR: encode only the structural constraints plus sound
           necessary conditions on eqs. 6-12 up-front; exact
           response-time machinery is installed per task/medium by
-          {!Lazy.refine} when a candidate model mispredicts it.  The
-          default follows the [TASKALLOC_LAZY] environment variable. *)
+          {!Lazy.refine} when a candidate model mispredicts it. *)
   inprocess : bool option;
-      (** force CDCL inprocessing on or off for the encoded solver;
-          [None] (the default) follows the [TASKALLOC_INPROCESS]
-          environment variable (see {!Taskalloc_bv.Bv.create}). *)
+      (** CDCL inprocessing for the encoded solver (see
+          {!Taskalloc_bv.Bv.create}); [None] is the same as
+          [Some false]. *)
 }
 
 val default_options : options
+(** Native PB, one-hot allocation, solver-chosen ties, derived slot
+    bound, eager encoding, no inprocessing. *)
 
 type t
 (** An encoded problem: the constraint system plus the handles needed

@@ -99,10 +99,15 @@ let oracle case =
 (* -- differential driver ------------------------------------------------ *)
 
 (* Load a case into a fresh solver with proof recording installed
-   before the first constraint, so add-time refutations are logged. *)
-let load case =
+   before the first constraint, so add-time refutations are logged.
+   With [inprocess] the passes run on an aggressive cadence, so even
+   these tiny instances re-enter them between restart episodes, not
+   just as preprocessing; every derived clause is logged, so the DRUP
+   pipeline must still close. *)
+let load ~inprocess case =
   let s = Solver.create () in
   let trace = Proof.record s in
+  if inprocess then Inprocess.install ~every:32 s;
   (match case with
   | Cnf cnf ->
     for _ = 1 to cnf.Dimacs.num_vars do
@@ -143,25 +148,25 @@ let checker_view = function
    so no worker ever imports shared clauses and the winner's trace is
    self-contained — the certifying pipeline below is identical in both
    modes.  Returns the deciding solver and its trace. *)
-let solve_case ~jobs case =
+let solve_case ~jobs ~inprocess case =
   if jobs <= 1 then begin
-    let s, trace = load case in
+    let s, trace = load ~inprocess case in
     (Solver.solve s, Some (s, trace))
   end
   else begin
     let outcome =
       Portfolio.solve ~jobs
         ~build:(fun _i ->
-          let s, trace = load case in
+          let s, trace = load ~inprocess case in
           ((s, trace), s))
         ()
     in
     (outcome.Portfolio.result, outcome.Portfolio.payload)
   end
 
-let check_case ?(jobs = 1) case =
+let check ~jobs ~inprocess case =
   let expected = oracle case in
-  match solve_case ~jobs case with
+  match solve_case ~jobs ~inprocess case with
   | Solver.Unknown, _ -> Error "solver returned Unknown without a budget"
   | _, None -> Error "portfolio returned no winner"
   | Solver.Sat, Some (s, _) ->
@@ -179,9 +184,9 @@ let check_case ?(jobs = 1) case =
         Error (Fmt.str "Unsat proof rejected at step %d: %s" step reason)
     end
 
-(* -- shrinking ---------------------------------------------------------- *)
+let check_case ?(jobs = 1) case = check ~jobs ~inprocess:false case
 
-let fails ?jobs case = Result.is_error (check_case ?jobs case)
+(* -- shrinking ---------------------------------------------------------- *)
 
 let without i xs = List.filteri (fun j _ -> j <> i) xs
 
@@ -251,8 +256,9 @@ let variants = function
                     terms))
            pb.constraints)
 
-let shrink ?jobs case =
-  if not (fails ?jobs case) then case
+let shrink_with ~jobs ~inprocess case =
+  let fails case = Result.is_error (check ~jobs ~inprocess case) in
+  if not (fails case) then case
   else begin
     let fuel = ref 400 in
     let rec go case =
@@ -262,7 +268,7 @@ let shrink ?jobs case =
           if !fuel <= 0 then None
           else begin
             decr fuel;
-            if fails ?jobs v then Some v else first rest
+            if fails v then Some v else first rest
           end
       in
       match first (variants case) with Some v -> go v | None -> case
@@ -270,89 +276,83 @@ let shrink ?jobs case =
     go case
   end
 
-(* -- campaigns ---------------------------------------------------------- *)
+let shrink ?(jobs = 1) case = shrink_with ~jobs ~inprocess:false case
 
-type failure = {
-  fail_seed : int;
-  fail_case : case;
-  fail_error : string;
-}
+
+(* -- campaign generators ------------------------------------------------ *)
 
 module Obs = Taskalloc_obs.Obs
-
-type report = {
-  iters : int;
-  n_sat : int;
-  n_unsat : int;
-  failures : failure list;
-  solve_us : Obs.Hist.t;
-}
-
-let run ?(max_vars = 10) ?(jobs = 1) ?(log = ignore) ~iters ~seed () =
-  let max_vars = min 16 (max 2 max_vars) in
-  let rng = Rng.create seed in
-  let n_sat = ref 0 and n_unsat = ref 0 in
-  let failures = ref [] in
-  (* per-iteration solve-time histogram (µs): the campaign doubles as a
-     perf canary — a regression shifts the distribution even when every
-     differential check still passes.  Iteration granularity, so the
-     two clock samples per case are nowhere near any hot loop. *)
-  let solve_us = Obs.Hist.create () in
-  for i = 0 to iters - 1 do
-    let case_seed = Rng.int rng 0x3FFFFFFF in
-    let case = gen_case ~seed:case_seed ~max_vars in
-    if oracle case then incr n_sat else incr n_unsat;
-    let t0 = Unix.gettimeofday () in
-    let checked = check_case ~jobs case in
-    Obs.Hist.add solve_us
-      (int_of_float (Float.max 0. ((Unix.gettimeofday () -. t0) *. 1e6)));
-    match checked with
-    | Ok () -> ()
-    | Error e ->
-      log (Fmt.str "iter %d (seed %d): %s" i case_seed e);
-      failures :=
-        { fail_seed = case_seed; fail_case = shrink ~jobs case; fail_error = e }
-        :: !failures
-  done;
-  {
-    iters;
-    n_sat = !n_sat;
-    n_unsat = !n_unsat;
-    failures = List.rev !failures;
-    solve_us;
-  }
-
-let pp_report ppf r =
-  Fmt.pf ppf "%d cases: %d sat, %d unsat, %d failures@." r.iters r.n_sat
-    r.n_unsat
-    (List.length r.failures);
-  if Obs.Hist.count r.solve_us > 0 then
-    Fmt.pf ppf "solve time per case: %a us@." Obs.Hist.pp r.solve_us;
-  List.iter
-    (fun f ->
-      Fmt.pf ppf "FAILURE (seed %d): %s@.minimized reproducer:@.%a" f.fail_seed
-        f.fail_error pp_case f.fail_case)
-    r.failures
-
-(* -- disruption campaigns ----------------------------------------------- *)
-
 module Model = Taskalloc_rt.Model
 module Check = Taskalloc_rt.Check
+module Encode = Taskalloc_core.Encode
 module Allocator = Taskalloc_core.Allocator
 module Heuristics = Taskalloc_heuristics.Heuristics
 module Repair = Taskalloc_repair.Repair
 
-type disruption_report = {
-  d_iters : int;
-  d_events : int;
-  d_repaired : int;
-  d_degraded : int;
-  d_irreparable : int;
-  d_unknown : int;
-  d_skipped : int;
-  d_oracle_checked : int;
-  d_failures : string list;
-}
+(* Small full-featured allocation problems: distinct deadlines (unique
+   DM order), one bus of either kind, occasional messages, jitter and
+   blocking.  The allocation-level differential solves each under two
+   configurations; the baseline is the oracle. *)
+let gen_alloc_problem rng =
+  let n_ecus = Rng.range rng 2 3 in
+  let n_tasks = Rng.range rng 3 6 in
+  let kind = if Rng.int rng 2 = 0 then Model.Tdma else Model.Priority in
+  let with_msg = n_tasks >= 2 && Rng.int rng 2 = 0 in
+  let task i =
+    let messages =
+      if with_msg && i = 0 then
+        [
+          {
+            Model.msg_id = 0;
+            src = 0;
+            dst = 1;
+            bytes = Rng.range rng 2 8;
+            msg_deadline = Rng.range rng 60 160;
+          };
+        ]
+      else []
+    in
+    {
+      Model.task_id = i;
+      task_name = Printf.sprintf "t%d" i;
+      period = 200;
+      wcets = List.init n_ecus (fun e -> (e, Rng.range rng 8 22));
+      deadline = (Rng.range rng 5 12 * 8) + i (* pairwise distinct *);
+      memory = 1;
+      separation = [];
+      messages;
+      jitter = Rng.int rng 3;
+      blocking = Rng.int rng 4;
+      criticality = 0;
+    }
+  in
+  let arch =
+    {
+      Model.n_ecus;
+      media =
+        [
+          {
+            Model.med_id = 0;
+            med_name = "bus";
+            kind;
+            ecus = List.init n_ecus Fun.id;
+            byte_time = 1;
+            frame_overhead = 2;
+          };
+        ];
+      mem_capacity = Array.make n_ecus 64;
+      gateway_service = 0;
+      barred = [];
+    }
+  in
+  let problem = Model.make_problem ~arch ~tasks:(List.init n_tasks task) in
+  let objective =
+    match (Rng.int rng 3, kind) with
+    | 0, Model.Tdma -> Encode.Min_trt 0
+    | 1, _ -> Encode.Min_max_util
+    | _ -> Encode.Feasible
+  in
+  (problem, objective)
 
 (* Small message-free instances with pairwise-distinct deadlines: the
    deadline-monotonic priority order is then unique, so the analytical
@@ -464,33 +464,163 @@ let oracle_min_migrations old_alloc (d : Repair.disrupted) =
     !best
   end
 
-(* one campaign iteration, deterministic in (seed, i) *)
-let disruption_iter ~seed i =
-  let rng = Rng.create (seed lxor (i * 0x9E3779B1)) in
-  let fail = ref [] in
-  let failf fmt = Fmt.kstr (fun m -> fail := Fmt.str "iter %d: %s" i m :: !fail) fmt in
-  let events = ref 0
-  and repaired = ref 0
-  and degraded = ref 0
-  and irreparable = ref 0
-  and unknown = ref 0
-  and oracle_checked = ref 0 in
+(* -- campaigns ---------------------------------------------------------- *)
+
+type campaign = Sat | Lazy | Inprocess | Disruptions
+
+type counts = {
+  sat : int;
+  unsat : int;
+  certified : int;
+  solved : int;
+  infeasible : int;
+  unknown : int;
+  events : int;
+  repaired : int;
+  degraded : int;
+  irreparable : int;
+  skipped : int;
+  oracle_checked : int;
+}
+
+let zero =
+  {
+    sat = 0;
+    unsat = 0;
+    certified = 0;
+    solved = 0;
+    infeasible = 0;
+    unknown = 0;
+    events = 0;
+    repaired = 0;
+    degraded = 0;
+    irreparable = 0;
+    skipped = 0;
+    oracle_checked = 0;
+  }
+
+let add a b =
+  {
+    sat = a.sat + b.sat;
+    unsat = a.unsat + b.unsat;
+    certified = a.certified + b.certified;
+    solved = a.solved + b.solved;
+    infeasible = a.infeasible + b.infeasible;
+    unknown = a.unknown + b.unknown;
+    events = a.events + b.events;
+    repaired = a.repaired + b.repaired;
+    degraded = a.degraded + b.degraded;
+    irreparable = a.irreparable + b.irreparable;
+    skipped = a.skipped + b.skipped;
+    oracle_checked = a.oracle_checked + b.oracle_checked;
+  }
+
+type failure = {
+  fail_iter : int;
+  fail_seed : int;
+  fail_case : case option;
+  fail_error : string;
+}
+
+type report = {
+  campaign : campaign;
+  iters : int;
+  counts : counts;
+  failures : failure list;
+  solve_us : Obs.Hist.t;
+}
+
+(* Contiguous blocks, so concatenating the chunks' results restores
+   iteration order; [min jobs n] blocks of at least one index each. *)
+let partition ~jobs n =
+  let k = min (max 1 jobs) n in
+  List.init k (fun c ->
+      let lo = c * n / k and hi = (c + 1) * n / k in
+      List.init (hi - lo) (fun j -> lo + j))
+
+(* [List.init n f] with the blocks of [partition] on their own domains.
+   Iterations are deterministic in their index, so [jobs] changes
+   nothing but wall time; the calling domain runs the first block. *)
+let spread ~jobs n f =
+  match partition ~jobs n with
+  | [] -> []
+  | first :: rest ->
+    let spawned =
+      List.map (fun idxs -> Domain.spawn (fun () -> List.map f idxs)) rest
+    in
+    let here = List.map f first in
+    here @ List.concat_map Domain.join spawned
+
+(* SAT-level step: one generated CNF/PB case judged by the oracle and
+   the DRUP checker ({!check}), shrunk when it fails. *)
+let sat_step ~jobs ~inprocess ~max_vars ~fail rng =
+  let case_seed = Rng.int rng 0x3FFFFFFF in
+  let case = gen_case ~seed:case_seed ~max_vars in
+  let expected = oracle case in
+  let ok =
+    match check ~jobs ~inprocess case with
+    | Ok () -> true
+    | Error e ->
+      fail case_seed (Some (shrink_with ~jobs ~inprocess case)) e;
+      false
+  in
+  if expected then { zero with sat = 1 }
+  else { zero with unsat = 1; certified = Bool.to_int ok }
+
+let verdict = function
+  | Allocator.Solved _ -> "SOLVED"
+  | Allocator.Infeasible -> "INFEASIBLE"
+  | Allocator.Unknown -> "UNKNOWN"
+
+(* Allocation-level step: one generated problem solved through the
+   whole stack under a baseline and a candidate configuration, which
+   must agree on verdict and proven optimum, with both allocations
+   clean under the analytical checker. *)
+let alloc_step ~fail rng (base_name, base) (alt_name, alt) =
+  let failf fmt = Fmt.kstr fail fmt in
+  let problem, objective = gen_alloc_problem rng in
+  let solve options = Allocator.solve ~options ~fallback:false problem objective in
+  match (solve base, solve alt) with
+  | Allocator.Solved a, Allocator.Solved b ->
+    if a.Allocator.cost <> b.Allocator.cost then
+      failf "optimum mismatch: %s cost %d, %s cost %d" base_name a.Allocator.cost
+        alt_name b.Allocator.cost;
+    List.iter
+      (fun (name, r) ->
+        if r.Allocator.violations <> [] then
+          failf "%s allocation rejected by the analytical checker" name)
+      [ (base_name, a); (alt_name, b) ];
+    { zero with solved = 1 }
+  | Allocator.Infeasible, Allocator.Infeasible -> { zero with infeasible = 1 }
+  | ((Allocator.Unknown, _ | _, Allocator.Unknown) as pair) ->
+    failf "unbudgeted solve returned UNKNOWN (%s=%s %s=%s)" base_name
+      (verdict (fst pair)) alt_name (verdict (snd pair));
+    { zero with unknown = 1 }
+  | a, b ->
+    failf "verdict mismatch: %s=%s %s=%s" base_name (verdict a) alt_name
+      (verdict b);
+    zero
+
+(* Disruption step: phase 1 cross-checks the first event against the
+   minimal-migration oracle (no shedding, so minimality is a plain
+   Hamming-distance question); phase 2 runs a multi-event campaign with
+   the degradation ladder on. *)
+let disruption_step ~fail rng =
+  let failf fmt = Fmt.kstr fail fmt in
   let problem = gen_disruption_problem rng in
-  let skipped =
-    match Allocator.find_feasible ~fallback:false problem with
-    | Allocator.Solved res ->
-      let alloc = res.Allocator.allocation in
-      (* phase 1: oracle cross-check of the first event (no shedding,
-         so minimality is a plain Hamming-distance question) *)
-      let st0 = Repair.create problem alloc in
-      let ev0 = gen_disruption_event rng st0 0 in
-      (match ev0 with
-      | Repair.Ecu_failure _ | Repair.Wcet_overrun _ -> (
-        incr oracle_checked;
+  match Allocator.find_feasible ~fallback:false problem with
+  | Allocator.Infeasible | Allocator.Unknown -> { zero with skipped = 1 }
+  | Allocator.Solved res ->
+    let alloc = res.Allocator.allocation in
+    let st0 = Repair.create problem alloc in
+    let ev0 = gen_disruption_event rng st0 0 in
+    let oracle_checked =
+      match ev0 with
+      | Repair.Ecu_failure _ | Repair.Wcet_overrun _ ->
         let oracle =
           oracle_min_migrations alloc (Repair.apply_event problem ev0)
         in
-        match (Repair.repair ~allow_shed:false st0 ev0, oracle) with
+        (match (Repair.repair ~allow_shed:false st0 ev0, oracle) with
         | Repair.Repaired r, Some b ->
           if List.length r.Repair.migrations <> b then
             failf "repair migrated %d, oracle minimum %d (%a)"
@@ -503,432 +633,143 @@ let disruption_iter ~seed i =
         | Repair.Irreparable _, Some b ->
           failf "repair gave up, oracle repairs with %d migrations" b
         | Repair.Irreparable _, None -> ()
-        | Repair.Unknown, _ -> failf "unbudgeted repair returned Unknown")
-      | _ -> ());
-      (* phase 2: multi-event campaign with the degradation ladder on *)
-      let st = Repair.create problem alloc in
-      let n_events = Rng.range rng 2 4 in
-      for k = 1 to n_events do
-        incr events;
-        let ev = gen_disruption_event rng st k in
-        let tasks_before = Array.length (Repair.problem st).Model.tasks in
-        let seats_before = Array.copy (Repair.allocation st).Model.task_ecu in
-        match Repair.repair st ev with
-        | Repair.Repaired r ->
-          incr repaired;
-          if r.Repair.degraded then incr degraded;
-          if r.Repair.check_violations <> 0 then
-            failf "event %d: analyzer found %d violations" k
-              r.Repair.check_violations;
-          if r.Repair.sim_misses <> 0 then
-            failf "event %d: %d deadline misses in simulation" k
-              r.Repair.sim_misses
-        | Repair.Irreparable _ ->
-          incr irreparable;
-          if
-            Array.length (Repair.problem st).Model.tasks <> tasks_before
-            || (Repair.allocation st).Model.task_ecu <> seats_before
-          then failf "event %d: irreparable repair mutated the state" k
-        | Repair.Unknown ->
-          incr unknown;
-          failf "event %d: unbudgeted repair returned Unknown" k
-      done;
-      0
-    | Allocator.Infeasible | Allocator.Unknown -> 1
-  in
-  {
-    d_iters = 1;
-    d_events = !events;
-    d_repaired = !repaired;
-    d_degraded = !degraded;
-    d_irreparable = !irreparable;
-    d_unknown = !unknown;
-    d_skipped = skipped;
-    d_oracle_checked = !oracle_checked;
-    d_failures = List.rev !fail;
-  }
-
-let merge_disruptions a b =
-  {
-    d_iters = a.d_iters + b.d_iters;
-    d_events = a.d_events + b.d_events;
-    d_repaired = a.d_repaired + b.d_repaired;
-    d_degraded = a.d_degraded + b.d_degraded;
-    d_irreparable = a.d_irreparable + b.d_irreparable;
-    d_unknown = a.d_unknown + b.d_unknown;
-    d_skipped = a.d_skipped + b.d_skipped;
-    d_oracle_checked = a.d_oracle_checked + b.d_oracle_checked;
-    d_failures = a.d_failures @ b.d_failures;
-  }
-
-let empty_disruption_report =
-  {
-    d_iters = 0;
-    d_events = 0;
-    d_repaired = 0;
-    d_degraded = 0;
-    d_irreparable = 0;
-    d_unknown = 0;
-    d_skipped = 0;
-    d_oracle_checked = 0;
-    d_failures = [];
-  }
-
-let run_disruptions ?(jobs = 1) ?(log = ignore) ~iters ~seed () =
-  let results =
-    if jobs <= 1 then List.init iters (disruption_iter ~seed)
-    else begin
-      (* iterations are deterministic in (seed, i), so splitting them
-         round-robin over domains changes nothing but wall time *)
-      let chunks = Array.make (max 1 jobs) [] in
-      for i = iters - 1 downto 0 do
-        chunks.(i mod Array.length chunks) <- i :: chunks.(i mod Array.length chunks)
-      done;
-      Array.to_list chunks
-      |> List.map (fun idxs ->
-             Domain.spawn (fun () -> List.map (disruption_iter ~seed) idxs))
-      |> List.concat_map Domain.join
-    end
-  in
-  let report = List.fold_left merge_disruptions empty_disruption_report results in
-  List.iter log report.d_failures;
-  report
-
-let pp_disruption_report ppf r =
-  Fmt.pf ppf
-    "%d campaigns (%d skipped infeasible), %d events: %d repaired (%d \
-     degraded), %d irreparable, %d unknown; %d oracle cross-checks, %d \
-     failures@."
-    r.d_iters r.d_skipped r.d_events r.d_repaired r.d_degraded r.d_irreparable
-    r.d_unknown r.d_oracle_checked
-    (List.length r.d_failures);
-  List.iter (fun f -> Fmt.pf ppf "FAILURE: %s@." f) r.d_failures
-
-(* -- lazy-vs-eager differential campaigns -------------------------------- *)
-
-module Encode = Taskalloc_core.Encode
-
-type lazy_report = {
-  l_iters : int;
-  l_sat : int;
-  l_unsat : int;
-  l_unknown : int;
-  l_eager_vars : int;
-  l_lazy_vars : int;
-  l_failures : string list;
-}
-
-(* Small full-featured instances: distinct deadlines (unique DM order),
-   one bus of either kind, occasional messages, jitter and blocking.
-   Unlike the PB fuzzer above, the oracle here is the eager encoding
-   itself — any divergence of the CEGAR abstraction from it is a bug in
-   the refinement loop, the relaxation cuts, or the checker closures. *)
-let gen_lazy_problem rng =
-  let n_ecus = Rng.range rng 2 3 in
-  let n_tasks = Rng.range rng 3 6 in
-  let kind = if Rng.int rng 2 = 0 then Model.Tdma else Model.Priority in
-  let with_msg = n_tasks >= 2 && Rng.int rng 2 = 0 in
-  let task i =
-    let messages =
-      if with_msg && i = 0 then
-        [
-          {
-            Model.msg_id = 0;
-            src = 0;
-            dst = 1;
-            bytes = Rng.range rng 2 8;
-            msg_deadline = Rng.range rng 60 160;
-          };
-        ]
-      else []
+        | Repair.Unknown, _ -> failf "unbudgeted repair returned Unknown");
+        1
+      | _ -> 0
     in
-    {
-      Model.task_id = i;
-      task_name = Printf.sprintf "t%d" i;
-      period = 200;
-      wcets = List.init n_ecus (fun e -> (e, Rng.range rng 8 22));
-      deadline = (Rng.range rng 5 12 * 8) + i (* pairwise distinct *);
-      memory = 1;
-      separation = [];
-      messages;
-      jitter = Rng.int rng 3;
-      blocking = Rng.int rng 4;
-      criticality = 0;
-    }
+    let st = Repair.create problem alloc in
+    let counts = ref { zero with oracle_checked } in
+    let bump c = counts := add !counts c in
+    for k = 1 to Rng.range rng 2 4 do
+      bump { zero with events = 1 };
+      let ev = gen_disruption_event rng st k in
+      let tasks_before = Array.length (Repair.problem st).Model.tasks in
+      let seats_before = Array.copy (Repair.allocation st).Model.task_ecu in
+      match Repair.repair st ev with
+      | Repair.Repaired r ->
+        bump { zero with repaired = 1; degraded = Bool.to_int r.Repair.degraded };
+        if r.Repair.check_violations <> 0 then
+          failf "event %d: analyzer found %d violations" k
+            r.Repair.check_violations;
+        if r.Repair.sim_misses <> 0 then
+          failf "event %d: %d deadline misses in simulation" k
+            r.Repair.sim_misses
+      | Repair.Irreparable _ ->
+        bump { zero with irreparable = 1 };
+        if
+          Array.length (Repair.problem st).Model.tasks <> tasks_before
+          || (Repair.allocation st).Model.task_ecu <> seats_before
+        then failf "event %d: irreparable repair mutated the state" k
+      | Repair.Unknown ->
+        bump { zero with unknown = 1 };
+        failf "event %d: unbudgeted repair returned Unknown" k
+    done;
+    !counts
+
+(* The baseline is the default configuration: eager, no inprocessing. *)
+let plain = Encode.default_options
+
+(* One iteration, deterministic in (campaign, seed, i). *)
+let iteration ~campaign ~max_vars ~jobs ~seed i =
+  let mix =
+    match campaign with
+    | Sat -> 0x61C88647
+    | Lazy -> 0x45D9F3B5
+    | Inprocess -> 0x2545F491
+    | Disruptions -> 0x9E3779B1
   in
-  let arch =
-    {
-      Model.n_ecus;
-      media =
-        [
-          {
-            Model.med_id = 0;
-            med_name = "bus";
-            kind;
-            ecus = List.init n_ecus Fun.id;
-            byte_time = 1;
-            frame_overhead = 2;
-          };
-        ];
-      mem_capacity = Array.make n_ecus 64;
-      gateway_service = 0;
-      barred = [];
-    }
+  let iter_seed = seed lxor (i * mix) in
+  let rng = Rng.create iter_seed in
+  let failures = ref [] in
+  let fail fail_seed fail_case fail_error =
+    failures := { fail_iter = i; fail_seed; fail_case; fail_error } :: !failures
   in
-  (Model.make_problem ~arch ~tasks:(List.init n_tasks task), kind)
-
-let lazy_iter ~seed i =
-  let rng = Rng.create (seed lxor (i * 0x45D9F3B5)) in
-  let fail = ref [] in
-  let failf fmt =
-    Fmt.kstr (fun m -> fail := Fmt.str "iter %d: %s" i m :: !fail) fmt
+  (* allocation-level and disruption failures have no shrinkable case *)
+  let fail_iteration = fail iter_seed None in
+  let t0 = Unix.gettimeofday () in
+  let counts =
+    match campaign with
+    | Sat -> sat_step ~jobs ~inprocess:false ~max_vars ~fail rng
+    | Lazy ->
+      alloc_step ~fail:fail_iteration rng ("eager", plain)
+        ("lazy", { plain with Encode.lazy_mode = true })
+    | Inprocess ->
+      let sat_level = sat_step ~jobs ~inprocess:true ~max_vars ~fail rng in
+      add sat_level
+        (alloc_step ~fail:fail_iteration rng ("plain", plain)
+           ("inprocessed", { plain with Encode.inprocess = Some true }))
+    | Disruptions -> disruption_step ~fail:fail_iteration rng
   in
-  let problem, kind = gen_lazy_problem rng in
-  let objective =
-    match (Rng.int rng 3, kind) with
-    | 0, Model.Tdma -> Encode.Min_trt 0
-    | 1, _ -> Encode.Min_max_util
-    | _ -> Encode.Feasible
-  in
-  let solve lazy_mode =
-    let options = { Encode.default_options with Encode.lazy_mode } in
-    Allocator.solve ~options ~fallback:false problem objective
-  in
-  let eager = solve false and lzy = solve true in
-  let verdict = function
-    | Allocator.Solved _ -> "SOLVED"
-    | Allocator.Infeasible -> "INFEASIBLE"
-    | Allocator.Unknown -> "UNKNOWN"
-  in
-  let sat = ref 0 and unsat = ref 0 and unknown = ref 0 in
-  let eager_vars = ref 0 and lazy_vars = ref 0 in
-  (match (eager, lzy) with
-  | Allocator.Solved e, Allocator.Solved l ->
-    incr sat;
-    eager_vars := e.Allocator.bool_vars;
-    lazy_vars := l.Allocator.bool_vars;
-    if e.Allocator.cost <> l.Allocator.cost then
-      failf "optimum mismatch: eager cost %d, lazy cost %d" e.Allocator.cost
-        l.Allocator.cost;
-    if l.Allocator.violations <> [] then
-      failf "lazy allocation rejected by the analytical checker";
-    if e.Allocator.violations <> [] then
-      failf "eager allocation rejected by the analytical checker"
-  | Allocator.Infeasible, Allocator.Infeasible -> incr unsat
-  | Allocator.Unknown, _ | _, Allocator.Unknown ->
-    incr unknown;
-    failf "unbudgeted solve returned UNKNOWN (eager=%s lazy=%s)"
-      (verdict eager) (verdict lzy)
-  | _ ->
-    failf "verdict mismatch: eager=%s lazy=%s" (verdict eager) (verdict lzy));
-  {
-    l_iters = 1;
-    l_sat = !sat;
-    l_unsat = !unsat;
-    l_unknown = !unknown;
-    l_eager_vars = !eager_vars;
-    l_lazy_vars = !lazy_vars;
-    l_failures = List.rev !fail;
-  }
+  let us = int_of_float (Float.max 0. ((Unix.gettimeofday () -. t0) *. 1e6)) in
+  (counts, List.rev !failures, us)
 
-let merge_lazy a b =
-  {
-    l_iters = a.l_iters + b.l_iters;
-    l_sat = a.l_sat + b.l_sat;
-    l_unsat = a.l_unsat + b.l_unsat;
-    l_unknown = a.l_unknown + b.l_unknown;
-    l_eager_vars = a.l_eager_vars + b.l_eager_vars;
-    l_lazy_vars = a.l_lazy_vars + b.l_lazy_vars;
-    l_failures = a.l_failures @ b.l_failures;
-  }
-
-let empty_lazy_report =
-  {
-    l_iters = 0;
-    l_sat = 0;
-    l_unsat = 0;
-    l_unknown = 0;
-    l_eager_vars = 0;
-    l_lazy_vars = 0;
-    l_failures = [];
-  }
-
-let run_lazy ?(jobs = 1) ?(log = ignore) ~iters ~seed () =
-  let results =
-    if jobs <= 1 then List.init iters (lazy_iter ~seed)
-    else begin
-      let chunks = Array.make (max 1 jobs) [] in
-      for i = iters - 1 downto 0 do
-        chunks.(i mod Array.length chunks) <- i :: chunks.(i mod Array.length chunks)
-      done;
-      Array.to_list chunks
-      |> List.map (fun idxs ->
-             Domain.spawn (fun () -> List.map (lazy_iter ~seed) idxs))
-      |> List.concat_map Domain.join
-    end
-  in
-  let report = List.fold_left merge_lazy empty_lazy_report results in
-  List.iter log report.l_failures;
-  report
-
-let pp_lazy_report ppf r =
-  Fmt.pf ppf
-    "%d lazy-vs-eager cases: %d solved, %d infeasible, %d unknown, %d failures@."
-    r.l_iters r.l_sat r.l_unsat r.l_unknown
-    (List.length r.l_failures);
-  if r.l_eager_vars > 0 then
-    Fmt.pf ppf "final formula vars (solved cases): eager %d, lazy %d (%.2fx)@."
-      r.l_eager_vars r.l_lazy_vars
-      (float_of_int r.l_eager_vars /. float_of_int (max 1 r.l_lazy_vars));
-  List.iter (fun f -> Fmt.pf ppf "FAILURE: %s@." f) r.l_failures
-
-(* -- inprocessing differential campaigns -------------------------------- *)
-
-type inprocess_report = {
-  i_iters : int;
-  i_sat : int;
-  i_unsat : int;
-  i_certified : int;
-  i_alloc_solved : int;
-  i_alloc_infeasible : int;
-  i_failures : string list;
-}
-
-let result_name = function
-  | Solver.Sat -> "SAT"
-  | Solver.Unsat -> "UNSAT"
-  | Solver.Unknown -> "UNKNOWN"
-
-(* One iteration runs the differential at both ends of the stack: a raw
-   CNF/PB case solved with and without the passes (certifying the
-   inprocessed Unsat trace — vivification, subsumption and BVE all log
-   their derived clauses, so the DRUP pipeline must still close), and a
-   full allocation problem solved through encoder and optimizer both
-   ways (the selector literals the session assumes are frozen against
-   elimination; a verdict or optimum divergence would expose a BVE
-   soundness hole no SAT-level case can see). *)
-let inprocess_iter ~max_vars ~seed i =
-  let rng = Rng.create (seed lxor (i * 0x2545F491)) in
-  let fail = ref [] in
-  let failf fmt =
-    Fmt.kstr (fun m -> fail := Fmt.str "iter %d: %s" i m :: !fail) fmt
-  in
-  let sat = ref 0 and unsat = ref 0 and certified = ref 0 in
-  let solved = ref 0 and infeasible = ref 0 in
-  let case_seed = Rng.int rng 0x3FFFFFFF in
-  let case = gen_case ~seed:case_seed ~max_vars in
-  let s0, _ = load case in
-  let r0 = Solver.solve s0 in
-  let s1, trace = load case in
-  (* an aggressive cadence so even these tiny instances re-enter the
-     passes between restart episodes, not just the preprocessing shot *)
-  Inprocess.install ~every:32 s1;
-  let r1 = Solver.solve s1 in
-  (match (r0, r1) with
-  | Solver.Sat, Solver.Sat ->
-    incr sat;
-    if not (eval case (model_mask case s1)) then
-      failf "case seed %d: inprocessed Sat model does not satisfy the instance"
-        case_seed
-  | Solver.Unsat, Solver.Unsat -> (
-    incr unsat;
-    let cnf, pbs = checker_view case in
-    match Proof.verify ~pbs cnf (trace ()) with
-    | Proof.Valid -> incr certified
-    | Proof.Invalid { step; reason } ->
-      failf "case seed %d: inprocessed Unsat proof rejected at step %d: %s"
-        case_seed step reason)
-  | a, b ->
-    failf "case seed %d: verdict mismatch: plain=%s inprocessed=%s" case_seed
-      (result_name a) (result_name b));
-  let problem, kind = gen_lazy_problem rng in
-  let objective =
-    match (Rng.int rng 3, kind) with
-    | 0, Model.Tdma -> Encode.Min_trt 0
-    | 1, _ -> Encode.Min_max_util
-    | _ -> Encode.Feasible
-  in
-  let solve inprocess =
-    let options =
-      { Encode.default_options with Encode.inprocess = Some inprocess }
-    in
-    Allocator.solve ~options ~fallback:false problem objective
-  in
-  let plain = solve false and inpro = solve true in
-  let verdict = function
-    | Allocator.Solved _ -> "SOLVED"
-    | Allocator.Infeasible -> "INFEASIBLE"
-    | Allocator.Unknown -> "UNKNOWN"
-  in
-  (match (plain, inpro) with
-  | Allocator.Solved p, Allocator.Solved q ->
-    incr solved;
-    if p.Allocator.cost <> q.Allocator.cost then
-      failf "allocation optimum mismatch: plain %d, inprocessed %d"
-        p.Allocator.cost q.Allocator.cost;
-    if q.Allocator.violations <> [] then
-      failf "inprocessed allocation rejected by the analytical checker"
-  | Allocator.Infeasible, Allocator.Infeasible -> incr infeasible
-  | a, b ->
-    failf "allocation verdict mismatch: plain=%s inprocessed=%s" (verdict a)
-      (verdict b));
-  {
-    i_iters = 1;
-    i_sat = !sat;
-    i_unsat = !unsat;
-    i_certified = !certified;
-    i_alloc_solved = !solved;
-    i_alloc_infeasible = !infeasible;
-    i_failures = List.rev !fail;
-  }
-
-let merge_inprocess a b =
-  {
-    i_iters = a.i_iters + b.i_iters;
-    i_sat = a.i_sat + b.i_sat;
-    i_unsat = a.i_unsat + b.i_unsat;
-    i_certified = a.i_certified + b.i_certified;
-    i_alloc_solved = a.i_alloc_solved + b.i_alloc_solved;
-    i_alloc_infeasible = a.i_alloc_infeasible + b.i_alloc_infeasible;
-    i_failures = a.i_failures @ b.i_failures;
-  }
-
-let empty_inprocess_report =
-  {
-    i_iters = 0;
-    i_sat = 0;
-    i_unsat = 0;
-    i_certified = 0;
-    i_alloc_solved = 0;
-    i_alloc_infeasible = 0;
-    i_failures = [];
-  }
-
-let run_inprocess ?(max_vars = 10) ?(jobs = 1) ?(log = ignore) ~iters ~seed () =
+let run ?(max_vars = 10) ?(jobs = 1) ?(log = ignore) ~campaign ~iters ~seed () =
   let max_vars = min 16 (max 2 max_vars) in
+  (* [Sat] spends [jobs] on a portfolio per case, which is what
+     certifies winner traces; the other campaigns spread iterations *)
+  let case_jobs, domains = if campaign = Sat then (jobs, 1) else (1, jobs) in
   let results =
-    if jobs <= 1 then List.init iters (inprocess_iter ~max_vars ~seed)
-    else begin
-      let chunks = Array.make (max 1 jobs) [] in
-      for i = iters - 1 downto 0 do
-        chunks.(i mod Array.length chunks) <- i :: chunks.(i mod Array.length chunks)
-      done;
-      Array.to_list chunks
-      |> List.map (fun idxs ->
-             Domain.spawn (fun () ->
-                 List.map (inprocess_iter ~max_vars ~seed) idxs))
-      |> List.concat_map Domain.join
-    end
+    spread ~jobs:domains iters
+      (iteration ~campaign ~max_vars ~jobs:case_jobs ~seed)
   in
-  let report = List.fold_left merge_inprocess empty_inprocess_report results in
-  List.iter log report.i_failures;
-  report
+  (* the per-iteration time histogram doubles as a perf canary: a
+     regression shifts it even when every differential check passes *)
+  let solve_us = Obs.Hist.create () in
+  let counts, failures =
+    List.fold_left
+      (fun (c, fs) (c', fs', us) ->
+        Obs.Hist.add solve_us us;
+        (add c c', List.rev_append fs' fs))
+      (zero, []) results
+  in
+  let failures = List.rev failures in
+  List.iter
+    (fun f -> log (Fmt.str "iter %d (seed %d): %s" f.fail_iter f.fail_seed f.fail_error))
+    failures;
+  { campaign; iters; counts; failures; solve_us }
 
-let pp_inprocess_report ppf r =
-  Fmt.pf ppf
-    "%d inprocessing cases: %d sat, %d unsat (%d certified); %d allocations \
-     solved, %d infeasible, %d failures@."
-    r.i_iters r.i_sat r.i_unsat r.i_certified r.i_alloc_solved
-    r.i_alloc_infeasible
-    (List.length r.i_failures);
-  List.iter (fun f -> Fmt.pf ppf "FAILURE: %s@." f) r.i_failures
+let pp_report ppf r =
+  let c = r.counts in
+  let shown =
+    match r.campaign with
+    | Sat -> [ (c.sat, "sat"); (c.unsat, "unsat"); (c.certified, "certified") ]
+    | Lazy ->
+      [ (c.solved, "solved"); (c.infeasible, "infeasible"); (c.unknown, "unknown") ]
+    | Inprocess ->
+      [
+        (c.sat, "sat");
+        (c.unsat, "unsat");
+        (c.certified, "certified");
+        (c.solved, "allocations solved");
+        (c.infeasible, "allocations infeasible");
+        (c.unknown, "unknown");
+      ]
+    | Disruptions ->
+      [
+        (c.skipped, "skipped infeasible");
+        (c.events, "events");
+        (c.repaired, "repaired");
+        (c.degraded, "degraded");
+        (c.irreparable, "irreparable");
+        (c.unknown, "unknown");
+        (c.oracle_checked, "oracle cross-checks");
+      ]
+  in
+  let name =
+    match r.campaign with
+    | Sat -> "solver-vs-oracle"
+    | Lazy -> "lazy-vs-eager"
+    | Inprocess -> "inprocessing"
+    | Disruptions -> "disruption"
+  in
+  Fmt.pf ppf "%d %s iterations: %s, %d failures@." r.iters name
+    (String.concat ", " (List.map (fun (n, what) -> Fmt.str "%d %s" n what) shown))
+    (List.length r.failures);
+  if Obs.Hist.count r.solve_us > 0 then
+    Fmt.pf ppf "time per iteration: %a us@." Obs.Hist.pp r.solve_us;
+  List.iter
+    (fun f ->
+      Fmt.pf ppf "FAILURE (iter %d, seed %d): %s@." f.fail_iter f.fail_seed
+        f.fail_error;
+      Option.iter (Fmt.pf ppf "minimized reproducer:@.%a" pp_case) f.fail_case)
+    r.failures

@@ -63,150 +63,96 @@ val shrink : ?jobs:int -> case -> case
     and degrees) while {!check_case} still fails.  Returns the case
     unchanged if it does not fail. *)
 
-(** {1 Campaigns} *)
+(** {1 Campaigns}
+
+    One driver runs four differential campaigns.  Every iteration is
+    deterministic in the campaign, its seed and its index.
+    {ul
+    {- [Sat]: one generated CNF/PB case per iteration through
+       {!check_case}.}
+    {- [Lazy]: one small full-featured allocation problem (both bus
+       kinds, messages, jitter, blocking) solved through the whole
+       stack with the eager and the CEGAR encoding
+       ({!Taskalloc_core.Encode.options.lazy_mode}).  Both must reach
+       the same verdict and the same proven optimum, and both
+       allocations must pass the independent analytical checker.  The
+       eager encoding is the oracle: a divergence is a bug in the
+       abstraction, its refinement loop or the relaxation cuts.}
+    {- [Inprocess]: the [Sat] check with the CDCL inprocessing passes
+       ({!Taskalloc_sat.Inprocess}) installed on an aggressive cadence,
+       so Unsat traces recorded with vivification, subsumption and BVE
+       active must still certify; then the [Lazy] allocation-level
+       check with plain against inprocessed solving, which exercises
+       the frozen-variable interface (selector and assumption literals
+       must survive elimination).}
+    {- [Disruptions]: a small feasible system, then a stream of 2–4
+       disruption events (ECU failures, WCET overruns, task arrivals,
+       bus degradations) repaired with
+       {!Taskalloc_repair.Repair.repair}.  Accepted repairs must pass
+       the analyzer and simulate without a deadline miss; failed
+       repairs must leave the state untouched.  The first event is
+       also cross-checked against a brute-force minimal-migration
+       oracle: the repair must migrate exactly as few tasks as an
+       exhaustive placement search, and report [Irreparable] exactly
+       when no feasible placement exists.}} *)
+
+type campaign = Sat | Lazy | Inprocess | Disruptions
+
+(** Outcome counts; each campaign fills the fields it names. *)
+type counts = {
+  sat : int;  (** [Sat], [Inprocess]: cases the oracle satisfies *)
+  unsat : int;  (** [Sat], [Inprocess]: cases the oracle refutes *)
+  certified : int;  (** refuted cases whose Unsat trace the checker accepted *)
+  solved : int;  (** [Lazy], [Inprocess]: allocations both sides solved *)
+  infeasible : int;  (** allocations both sides proved infeasible *)
+  unknown : int;  (** unbudgeted Unknown answers; each is also a failure *)
+  events : int;  (** [Disruptions]: events injected (oracle phase aside) *)
+  repaired : int;
+  degraded : int;  (** repaired rungs that shed at least one task *)
+  irreparable : int;
+  skipped : int;  (** generated systems with no initial allocation *)
+  oracle_checked : int;  (** first events cross-checked by the oracle *)
+}
 
 type failure = {
-  fail_seed : int;  (** regenerates the original failing case *)
-  fail_case : case;  (** shrunk reproducer *)
+  fail_iter : int;  (** iteration index within the campaign *)
+  fail_seed : int;
+      (** SAT-level failures: the case seed ([gen_case ~seed] regenerates
+          the case); otherwise the seed of the iteration's generator *)
+  fail_case : case option;  (** SAT-level failures: shrunk reproducer *)
   fail_error : string;  (** first discrepancy, before shrinking *)
 }
 
 type report = {
+  campaign : campaign;
   iters : int;
-  n_sat : int;
-  n_unsat : int;
-  failures : failure list;
+  counts : counts;
+  failures : failure list;  (** in iteration order *)
   solve_us : Taskalloc_obs.Obs.Hist.t;
-      (** per-iteration differential-check wall time (µs) — the
-          campaign's perf-canary distribution, printed by
-          {!pp_report} *)
+      (** per-iteration wall time (µs): the campaign's perf-canary
+          distribution, printed by {!pp_report} *)
 }
 
 val run :
   ?max_vars:int ->
   ?jobs:int ->
   ?log:(string -> unit) ->
+  campaign:campaign ->
   iters:int ->
   seed:int ->
   unit ->
   report
-(** Run [iters] generated cases derived deterministically from [seed].
-    [max_vars] (default 10, clamped to [2..16]) bounds instance size;
+(** Run [iters] iterations of [campaign] derived deterministically from
+    [seed].  [max_vars] (default 10, clamped to [2..16]) bounds the
+    SAT-level instance size of [Sat] and [Inprocess].  For [Sat],
     [jobs > 1] solves every case with a portfolio of that many workers
-    (see {!check_case}); [log] receives progress lines. *)
+    (see {!check_case}); for the other campaigns it spreads iterations
+    over at most [min jobs iters] domains, and the report does not
+    depend on it.  [log] receives one line per failure. *)
 
 val pp_report : Format.formatter -> report -> unit
 
-(** {1 Disruption campaigns}
-
-    Randomized online-repair fuzzing: generate a small feasible system,
-    inject a stream of disruption events (ECU failures, WCET overruns,
-    task arrivals, bus degradations), repair each with
-    {!Taskalloc_repair.Repair.repair}, and hold every outcome to its
-    contract — accepted repairs must pass the independent analyzer and
-    simulate without a single deadline miss, failed repairs must leave
-    the state untouched.  On message-free instances with distinct
-    deadlines the first event is additionally cross-checked against a
-    brute-force {e minimal-migration} oracle: the repair must migrate
-    exactly as few tasks as an exhaustive placement search, and report
-    [Irreparable] exactly when no feasible placement exists. *)
-
-type disruption_report = {
-  d_iters : int;
-  d_events : int;  (** campaign events injected (oracle phase aside) *)
-  d_repaired : int;
-  d_degraded : int;  (** repaired rungs that shed at least one task *)
-  d_irreparable : int;
-  d_unknown : int;
-  d_skipped : int;  (** generated instances with no initial allocation *)
-  d_oracle_checked : int;
-  d_failures : string list;
-}
-
-val run_disruptions :
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  iters:int ->
-  seed:int ->
-  unit ->
-  disruption_report
-(** Run [iters] disruption campaigns derived deterministically from
-    [seed]; 2–4 events each.  [jobs > 1] spreads iterations over that
-    many domains (results are independent of [jobs]).  [log] receives
-    one line per failure. *)
-
-val pp_disruption_report : Format.formatter -> disruption_report -> unit
-
-(** {1 Lazy-vs-eager differential campaigns}
-
-    Randomized equivalence testing of the CEGAR encoding
-    ({!Taskalloc_core.Encode.options.lazy_mode}): generate small
-    full-featured allocation problems (both bus kinds, messages,
-    jitter, blocking), solve each twice — eager and lazy — and require
-    identical verdicts, identical proven optima, and analyzer-clean
-    allocations on both sides.  The eager encoding is the oracle: any
-    divergence is a bug in the abstraction, its refinement loop, or the
-    relaxation cuts. *)
-
-type lazy_report = {
-  l_iters : int;
-  l_sat : int;  (** cases both encodings solved (costs compared) *)
-  l_unsat : int;  (** cases both proved infeasible *)
-  l_unknown : int;  (** always a failure: these runs have no budget *)
-  l_eager_vars : int;  (** summed final formula vars over solved cases *)
-  l_lazy_vars : int;  (** same, lazy side (post-refinement size) *)
-  l_failures : string list;
-}
-
-val run_lazy :
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  iters:int ->
-  seed:int ->
-  unit ->
-  lazy_report
-(** Run [iters] lazy-vs-eager cases derived deterministically from
-    [seed].  [jobs > 1] spreads iterations over that many domains
-    (results are independent of [jobs]); [log] receives one line per
-    failure. *)
-
-val pp_lazy_report : Format.formatter -> lazy_report -> unit
-
-(** {1 Inprocessing differential campaigns}
-
-    Randomized equivalence testing of the CDCL inprocessing passes
-    ({!Taskalloc_sat.Inprocess}): each iteration solves one CNF/PB case
-    with and without vivification/subsumption/BVE — requiring identical
-    verdicts, semantically valid Sat models, and a DRUP trace recorded
-    {e with the passes active} that the independent checker certifies —
-    and solves one small allocation problem through the whole stack
-    both ways, requiring identical verdicts, identical proven optima,
-    and analyzer-clean allocations (exercising the frozen-variable
-    interface: selector and assumption literals must survive
-    elimination). *)
-
-type inprocess_report = {
-  i_iters : int;
-  i_sat : int;  (** SAT-level cases both configurations solved *)
-  i_unsat : int;  (** cases both proved unsat *)
-  i_certified : int;  (** inprocessed Unsat traces the checker accepted *)
-  i_alloc_solved : int;  (** allocation cases solved (optima compared) *)
-  i_alloc_infeasible : int;  (** allocation cases both proved infeasible *)
-  i_failures : string list;
-}
-
-val run_inprocess :
-  ?max_vars:int ->
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  iters:int ->
-  seed:int ->
-  unit ->
-  inprocess_report
-(** Run [iters] inprocessing-vs-plain iterations derived
-    deterministically from [seed].  [max_vars] bounds the SAT-level
-    instance size (default 10, clamped to [2..16]); [jobs > 1] spreads
-    iterations over that many domains (results are independent of
-    [jobs]); [log] receives one line per failure. *)
-
-val pp_inprocess_report : Format.formatter -> inprocess_report -> unit
+val partition : jobs:int -> int -> int list list
+(** [partition ~jobs n] splits the iteration indices [0 .. n-1] into
+    at most [min jobs n] non-empty contiguous blocks, one per domain
+    [run] uses. *)

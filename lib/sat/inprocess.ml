@@ -12,13 +12,6 @@
 
 module Obs = Taskalloc_obs.Obs
 
-let env_truthy v = match v with "1" | "true" | "yes" | "on" -> true | _ -> false
-
-let env_enabled () =
-  match Sys.getenv_opt "TASKALLOC_INPROCESS" with
-  | Some v -> env_truthy v
-  | None -> false
-
 let default_every = 3000
 
 let run_passes s =
@@ -48,5 +41,3 @@ let install ?(every = default_every) s =
            last := now;
            ignore (run_passes s)
          end))
-
-let maybe_install_from_env s = if env_enabled () then install s

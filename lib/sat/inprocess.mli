@@ -12,19 +12,10 @@
     variables are frozen automatically; variables an elimination pass
     removed are transparently reintroduced when named again). *)
 
-val env_enabled : unit -> bool
-(** [true] when the environment opts in via [TASKALLOC_INPROCESS=1]
-    (also accepts [true]/[yes]/[on]). *)
-
 val install : ?every:int -> Solver.t -> unit
 (** Install the scheduler on the solver's inprocess hook.  [every] is
     the conflict cadence between runs (default 3000); the first hook
     invocation always runs, acting as preprocessing. *)
-
-val maybe_install_from_env : Solver.t -> unit
-(** [install] if {!env_enabled}; otherwise do nothing.  Call sites
-    that create solvers ({!Taskalloc_bv.Bv.create}, the CLIs) use this
-    so one environment variable turns inprocessing on everywhere. *)
 
 val run_passes : Solver.t -> int
 (** Run one round of all three passes immediately (regardless of

@@ -35,7 +35,7 @@ type config = {
   workers : int;
   max_sessions : int;
   queue_depth : int;
-  options : Encode.options option;
+  options : Encode.options;
   verbose : bool;
   prometheus : (string * int) option;
   flight : string option;
@@ -47,7 +47,7 @@ let default_config =
     workers = 2;
     max_sessions = 64;
     queue_depth = 128;
-    options = None;
+    options = Encode.default_options;
     verbose = false;
     prometheus = None;
     flight = None;
@@ -332,10 +332,8 @@ let canonical_key options problem =
   (* options that change the formula are part of the identity; the
      problem itself is keyed by its round-tripping file rendering *)
   let tag =
-    Printf.sprintf "lazy=%b;inprocess=%s" options.Encode.lazy_mode
-      (match options.Encode.inprocess with
-      | None -> "env"
-      | Some b -> string_of_bool b)
+    Printf.sprintf "lazy=%b;inprocess=%b" options.Encode.lazy_mode
+      (options.Encode.inprocess = Some true)
   in
   Digest.to_hex (Digest.string (tag ^ "\n" ^ Problem_file.to_string problem))
 
@@ -542,10 +540,9 @@ let do_open t job =
   | Error e -> e
   | Ok problem ->
     let options =
-      let base = Option.value ~default:Encode.default_options t.cfg.options in
       match Json.to_bool (Json.member "lazy" req) with
-      | None -> base
-      | Some lazy_mode -> { base with Encode.lazy_mode }
+      | None -> t.cfg.options
+      | Some lazy_mode -> { t.cfg.options with Encode.lazy_mode }
     in
     let use_cache = bool_param req "cache" true in
     (* resolve or build the encode bundle; the (expensive) encode runs

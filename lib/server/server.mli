@@ -107,10 +107,9 @@ type config = {
   workers : int;  (** worker domains executing requests (>= 1) *)
   max_sessions : int;  (** session-table bound; LRU idle eviction *)
   queue_depth : int;  (** bounded work queue; beyond it: [overloaded] *)
-  options : Taskalloc_core.Encode.options option;
-      (** default encoding options for [open] ([None] =
-          {!Taskalloc_core.Encode.default_options}); a request's
-          ["lazy"] field overrides per session *)
+  options : Taskalloc_core.Encode.options;
+      (** default encoding options for [open]; a request's ["lazy"]
+          field overrides per session *)
   verbose : bool;  (** log one line per request to stderr *)
   prometheus : (string * int) option;
       (** serve a plaintext Prometheus [/metrics] endpoint on this

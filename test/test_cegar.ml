@@ -23,8 +23,11 @@ module Proof = Taskalloc_proof.Proof
 module Fuzz = Taskalloc_fuzz.Fuzz
 module Explain = Taskalloc_explain.Explain
 
-let eager_opts = { Encode.default_options with Encode.lazy_mode = false }
-let lazy_opts = { Encode.default_options with Encode.lazy_mode = true }
+(* the eager and the lazy encoding over a [base] configuration; the
+   suite runs on the default one and again with inprocessing on both
+   sides *)
+let eager base = { base with Encode.lazy_mode = false }
+let lazy_ base = { base with Encode.lazy_mode = true }
 
 let solve_with options problem objective =
   Allocator.solve ~options ~fallback:false problem objective
@@ -36,11 +39,12 @@ let solve_with options problem objective =
    solved eager and lazy and must agree on verdict, optimum, and
    analyzer validation. *)
 let differential ~iters ~seed () =
-  let report = Fuzz.run_lazy ~iters ~seed () in
-  Alcotest.(check int) "all cases decided" iters
-    (report.Fuzz.l_sat + report.Fuzz.l_unsat);
-  Alcotest.(check int) "no unknowns" 0 report.Fuzz.l_unknown;
-  Alcotest.(check (list string)) "no discrepancies" [] report.Fuzz.l_failures
+  let report = Fuzz.run ~campaign:Fuzz.Lazy ~iters ~seed () in
+  let c = report.Fuzz.counts in
+  Alcotest.(check int) "all cases decided" iters (c.Fuzz.solved + c.Fuzz.infeasible);
+  Alcotest.(check int) "no unknowns" 0 c.Fuzz.unknown;
+  Alcotest.(check (list string)) "no discrepancies" []
+    (List.map (fun f -> f.Fuzz.fail_error) report.Fuzz.failures)
 
 let test_differential_quick () = differential ~iters:15 ~seed:11 ()
 let test_differential_full () = differential ~iters:100 ~seed:1 ()
@@ -51,11 +55,11 @@ let test_differential_full () = differential ~iters:100 ~seed:1 ()
    counts only grow, never exceed n_tasks + n_media, each Sat round
    either refines or terminates, and the loop finishes within the
    guaranteed bound. *)
-let test_refinement_monotone () =
+let test_refinement_monotone base () =
   let problem = Workloads.task_scaling ~n:12 () in
   let n_tasks = Array.length problem.Model.tasks in
   let n_media = List.length problem.Model.arch.Model.media in
-  let enc = Encode.encode ~options:lazy_opts problem Encode.Feasible in
+  let enc = Encode.encode ~options:(lazy_ base) problem Encode.Feasible in
   Alcotest.(check bool) "encoding is lazy" true (Encode.Lazy.is_lazy enc);
   let solver = Bv.solver (Encode.context enc) in
   let prev = ref (-1) in
@@ -136,14 +140,14 @@ let scale_problem k (p : Model.problem) =
   in
   Model.make_problem ~arch ~tasks
 
-let test_metamorphic_time_scaling () =
+let test_metamorphic_time_scaling base () =
   let k = 3 in
   List.iter
     (fun (name, problem, objective) ->
       let scaled = scale_problem k problem in
       (match
-         ( solve_with lazy_opts problem objective,
-           solve_with lazy_opts scaled objective )
+         ( solve_with (lazy_ base) problem objective,
+           solve_with (lazy_ base) scaled objective )
        with
       | Allocator.Solved a, Allocator.Solved b ->
         Alcotest.(check bool) (name ^ ": base validates") true (a.Allocator.violations = []);
@@ -152,8 +156,8 @@ let test_metamorphic_time_scaling () =
       | _ -> Alcotest.fail (name ^ ": verdict changed under time scaling"));
       (* the differential property survives the transformation *)
       match
-        ( solve_with eager_opts scaled objective,
-          solve_with lazy_opts scaled objective )
+        ( solve_with (eager base) scaled objective,
+          solve_with (lazy_ base) scaled objective )
       with
       | Allocator.Solved e, Allocator.Solved l ->
         Alcotest.(check int)
@@ -196,14 +200,14 @@ let strip_messages (p : Model.problem) =
   in
   Model.make_problem ~arch:p.Model.arch ~tasks
 
-let test_metamorphic_relabeling () =
+let test_metamorphic_relabeling base () =
   List.iter
     (fun (name, problem) ->
       let problem = strip_messages problem in
       let relabeled = relabel_reverse problem in
       match
-        ( solve_with lazy_opts problem Encode.Min_max_util,
-          solve_with lazy_opts relabeled Encode.Min_max_util )
+        ( solve_with (lazy_ base) problem Encode.Min_max_util,
+          solve_with (lazy_ base) relabeled Encode.Min_max_util )
       with
       | Allocator.Solved a, Allocator.Solved b ->
         Alcotest.(check int)
@@ -222,11 +226,11 @@ let test_metamorphic_relabeling () =
    solve must return without an exception; proven-optimal answers must
    match the eager optimum; anytime answers must bracket it; and a
    later unbudgeted run must recover the exact optimum. *)
-let test_budget_interrupt_chaos () =
+let test_budget_interrupt_chaos base () =
   let problem = Workloads.small ~seed:7 () in
   let objective = Encode.Min_trt 0 in
   let optimum =
-    match solve_with eager_opts problem objective with
+    match solve_with (eager base) problem objective with
     | Allocator.Solved r -> r.Allocator.cost
     | _ -> Alcotest.fail "reference eager solve failed"
   in
@@ -234,7 +238,7 @@ let test_budget_interrupt_chaos () =
     (fun cap ->
       let budget = Budget.create ~max_conflicts:cap ~check_every:1 () in
       match
-        Allocator.solve ~options:lazy_opts ~fallback:false ~budget problem
+        Allocator.solve ~options:(lazy_ base) ~fallback:false ~budget problem
           objective
       with
       | Allocator.Unknown -> () (* clean interrupt before any incumbent *)
@@ -260,7 +264,7 @@ let test_budget_interrupt_chaos () =
     [ 1; 4; 16; 64; 256 ];
   (* resumption: after any number of interrupted attempts, a fresh
      unbudgeted lazy solve still proves the exact optimum *)
-  match solve_with lazy_opts problem objective with
+  match solve_with (lazy_ base) problem objective with
   | Allocator.Solved r ->
     Alcotest.(check int) "resumed solve proves the optimum" optimum r.Allocator.cost
   | _ -> Alcotest.fail "unbudgeted lazy solve failed after interrupts"
@@ -268,10 +272,10 @@ let test_budget_interrupt_chaos () =
 (* A budget-interrupted what-if session must answer Unknown, stay
    usable, and produce the right verdict when re-asked with headroom —
    the growing (refined) formula survives the interrupt. *)
-let test_whatif_interrupt_resumable () =
+let test_whatif_interrupt_resumable base () =
   let problem = Workloads.small ~seed:7 () in
   let module W = Explain.Whatif in
-  let sess = W.create ~options:lazy_opts problem in
+  let sess = W.create ~options:(lazy_ base) problem in
   let deltas = [ W.Set_deadline { task = 0; deadline = 40 } ] in
   let starved = Budget.create ~max_conflicts:0 ~check_every:1 () in
   (match W.query ~budget:starved sess deltas with
@@ -281,7 +285,7 @@ let test_whatif_interrupt_resumable () =
        budget is consulted; that is also a legal, clean outcome *)
     ());
   let reference =
-    let eager_sess = W.create ~options:eager_opts problem in
+    let eager_sess = W.create ~options:(eager base) problem in
     W.query eager_sess deltas
   in
   match (W.query sess deltas, reference) with
@@ -296,10 +300,10 @@ let test_whatif_interrupt_resumable () =
    comparator: the solver's variable count stays flat.  And the entry
    must survive eviction pressure (LRU, not FIFO): a hot delta kept in
    use outlives a stream of cold one-off deadlines. *)
-let test_whatif_deadline_cache () =
+let test_whatif_deadline_cache options () =
   let problem = Workloads.small ~seed:3 () in
   let module W = Explain.Whatif in
-  let sess = W.create problem in
+  let sess = W.create ~options problem in
   let hot = [ W.Set_deadline { task = 0; deadline = 60 } ] in
   ignore (W.query sess hot);
   let vars_after_first = W.session_vars sess in
@@ -356,9 +360,9 @@ let infeasible_problem () =
   in
   Model.make_problem ~arch ~tasks:(List.init 5 task)
 
-let test_lazy_unsat_drup () =
+let test_lazy_unsat_drup base () =
   let problem = infeasible_problem () in
-  let enc = Encode.encode ~options:lazy_opts problem Encode.Feasible in
+  let enc = Encode.encode ~options:(lazy_ base) problem Encode.Feasible in
   let solver = Bv.solver (Encode.context enc) in
   let trace = Proof.record solver in
   let rec loop guard =
@@ -398,9 +402,9 @@ let test_lazy_unsat_drup () =
   Alcotest.(check bool) "DRUP trace certifies the lazy Unsat" true
     (Proof.check ~pbs cnf (trace ()))
 
-let test_lazy_unsat_core () =
+let test_lazy_unsat_core base () =
   let problem = infeasible_problem () in
-  let sess = Explain.Session.create ~options:lazy_opts problem in
+  let sess = Explain.Session.create ~options:(lazy_ base) problem in
   match Explain.Session.solve_all sess with
   | Solver.Sat -> Alcotest.fail "grouped lazy session accepted an infeasible instance"
   | Solver.Unknown -> Alcotest.fail "unbudgeted solve returned Unknown"
@@ -450,12 +454,12 @@ let test_lazy_unsat_core () =
 
 (* -- lazy/eager equivalence on the named workloads ---------------------- *)
 
-let test_named_workloads_agree () =
+let test_named_workloads_agree base () =
   List.iter
     (fun (name, problem, objective) ->
       match
-        ( solve_with eager_opts problem objective,
-          solve_with lazy_opts problem objective )
+        ( solve_with (eager base) problem objective,
+          solve_with (lazy_ base) problem objective )
       with
       | Allocator.Solved e, Allocator.Solved l ->
         Alcotest.(check int) (name ^ ": same optimum") e.Allocator.cost
@@ -475,17 +479,31 @@ let test_named_workloads_agree () =
       ("tasks12", Workloads.task_scaling ~n:12 (), Encode.Min_trt 0);
     ]
 
+(* every case that builds its eager and lazy sides from [base] *)
+let cases base =
+  [
+    ("refinement is monotone and bounded", `Quick, test_refinement_monotone base);
+    ("metamorphic: time scaling", `Slow, test_metamorphic_time_scaling base);
+    ("metamorphic: task relabeling", `Quick, test_metamorphic_relabeling base);
+    ("budget interrupts degrade cleanly", `Quick, test_budget_interrupt_chaos base);
+    ( "interrupted what-if session resumes",
+      `Quick,
+      test_whatif_interrupt_resumable base );
+    ("what-if deadline cache never re-reifies", `Quick, test_whatif_deadline_cache base);
+    ("lazy Unsat carries a DRUP certificate", `Quick, test_lazy_unsat_drup base);
+    ("lazy Unsat core is sensible", `Quick, test_lazy_unsat_core base);
+    ("named workloads: lazy = eager", `Slow, test_named_workloads_agree base);
+  ]
+
 let suite =
   [
     ("differential lazy = eager (15 cases)", `Quick, test_differential_quick);
     ("differential lazy = eager (100 cases)", `Slow, test_differential_full);
-    ("refinement is monotone and bounded", `Quick, test_refinement_monotone);
-    ("metamorphic: time scaling", `Slow, test_metamorphic_time_scaling);
-    ("metamorphic: task relabeling", `Quick, test_metamorphic_relabeling);
-    ("budget interrupts degrade cleanly", `Quick, test_budget_interrupt_chaos);
-    ("interrupted what-if session resumes", `Quick, test_whatif_interrupt_resumable);
-    ("what-if deadline cache never re-reifies", `Quick, test_whatif_deadline_cache);
-    ("lazy Unsat carries a DRUP certificate", `Quick, test_lazy_unsat_drup);
-    ("lazy Unsat core is sensible", `Quick, test_lazy_unsat_core);
-    ("named workloads: lazy = eager", `Slow, test_named_workloads_agree);
   ]
+  @ cases Encode.default_options
+  @ Configs.tagged "inprocess" (cases Configs.inprocess)
+  @ [
+      ( "what-if deadline cache never re-reifies (lazy)",
+        `Quick,
+        test_whatif_deadline_cache Configs.lazy_ );
+    ]

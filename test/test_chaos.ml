@@ -31,7 +31,7 @@ let chaos_budget n =
 
 (* count how many polls an uninterrupted run performs, to bound the
    sweep: past that point the chaos budget never fires *)
-let count_polls problem objective =
+let count_polls ~options problem objective =
   let polls = ref 0 in
   let budget =
     Budget.create ~check_every:1
@@ -40,7 +40,7 @@ let count_polls problem objective =
         false)
       ()
   in
-  ignore (Allocator.solve ~budget problem objective);
+  ignore (Allocator.solve ~options ~budget problem objective);
   !polls
 
 let check_solved ~label ~optimum problem (r : Allocator.result) =
@@ -80,10 +80,10 @@ let check_solved ~label ~optimum problem (r : Allocator.result) =
   ignore problem
 
 (* run one (problem, objective) pair through the full sweep *)
-let sweep ~name ~feasible problem objective =
+let sweep ~options ~name ~feasible problem objective =
   (* ground truth from an uninterrupted run *)
   let optimum =
-    match Allocator.solve problem objective with
+    match Allocator.solve ~options problem objective with
     | Allocator.Solved r ->
       Alcotest.(check bool) (name ^ ": reference run optimal") true
         (r.Allocator.quality = Allocator.Optimal);
@@ -96,7 +96,7 @@ let sweep ~name ~feasible problem objective =
   in
   (* [total_polls] may legitimately be 0 when the instance is decided
      by pure propagation, without a single conflict *)
-  let total_polls = count_polls problem objective in
+  let total_polls = count_polls ~options problem objective in
   (* every injection point, plus a few past the end (never fires) *)
   let points =
     List.init (min total_polls 60) (fun i -> i + 1)
@@ -112,7 +112,8 @@ let sweep ~name ~feasible problem objective =
         (fun fallback ->
           let label = Printf.sprintf "%s N=%d fallback=%b" name n fallback in
           match
-            Allocator.solve ~budget:(chaos_budget n) ~fallback problem objective
+            Allocator.solve ~options ~budget:(chaos_budget n) ~fallback problem
+              objective
           with
           | Allocator.Solved r -> check_solved ~label ~optimum problem r
           | Allocator.Infeasible ->
@@ -129,19 +130,19 @@ let sweep ~name ~feasible problem objective =
         [ true; false ])
     points
 
-let test_chaos_small_trt () =
+let test_chaos_small_trt options () =
   let problem = Workloads.small ~seed:3 ~n_ecus:2 ~n_tasks:4 () in
-  sweep ~name:"small/Min_trt" ~feasible:true problem (Encode.Min_trt 0)
+  sweep ~options ~name:"small/Min_trt" ~feasible:true problem (Encode.Min_trt 0)
 
-let test_chaos_small_sum_trt () =
+let test_chaos_small_sum_trt options () =
   let problem = Workloads.small ~seed:11 ~n_ecus:3 ~n_tasks:5 () in
-  sweep ~name:"small/Min_sum_trt" ~feasible:true problem Encode.Min_sum_trt
+  sweep ~options ~name:"small/Min_sum_trt" ~feasible:true problem Encode.Min_sum_trt
 
-let test_chaos_can_bus_load () =
+let test_chaos_can_bus_load options () =
   let problem = Workloads.small_can ~seed:3 ~n_ecus:3 ~n_tasks:5 () in
-  sweep ~name:"can/Min_bus_load" ~feasible:true problem (Encode.Min_bus_load 0)
+  sweep ~options ~name:"can/Min_bus_load" ~feasible:true problem (Encode.Min_bus_load 0)
 
-let test_chaos_infeasible () =
+let test_chaos_infeasible options () =
   (* two mutually separated tasks, one ECU: infeasible by construction;
      no interruption point may turn that into a "solution" *)
   let arch =
@@ -179,9 +180,9 @@ let test_chaos_infeasible () =
     }
   in
   let problem = Model.make_problem ~arch ~tasks:[ task 0 [ 1 ]; task 1 [] ] in
-  sweep ~name:"infeasible/separation" ~feasible:false problem Encode.Feasible
+  sweep ~options ~name:"infeasible/separation" ~feasible:false problem Encode.Feasible
 
-let test_chaos_portfolio () =
+let test_chaos_portfolio options () =
   (* parallel counterpart of the sweeps above: the budget trips at the
      nth poll *of some worker* while 3 diversified workers race the
      binary search.  Whatever the interleaving of expiry and
@@ -192,7 +193,7 @@ let test_chaos_portfolio () =
   let problem = Workloads.small ~seed:3 ~n_ecus:2 ~n_tasks:4 () in
   let objective = Encode.Min_trt 0 in
   let optimum =
-    match Allocator.solve problem objective with
+    match Allocator.solve ~options problem objective with
     | Allocator.Solved r -> Some r.Allocator.cost
     | _ -> Alcotest.fail "portfolio chaos: reference run failed"
   in
@@ -207,7 +208,7 @@ let test_chaos_portfolio () =
         (fun fallback ->
           let label = Printf.sprintf "portfolio N=%d fallback=%b" n fallback in
           match
-            Allocator.solve ~jobs:3 ~budget:(chaos_budget n) ~fallback problem
+            Allocator.solve ~options ~jobs:3 ~budget:(chaos_budget n) ~fallback problem
               objective
           with
           | Allocator.Solved r -> check_solved ~label ~optimum problem r
@@ -222,7 +223,7 @@ let test_chaos_portfolio () =
         [ true; false ])
     [ 1; 2; 3; 5; 8; 13; 21; 40; 80; 200; 1000; 5000 ]
 
-let test_chaos_find_feasible () =
+let test_chaos_find_feasible options () =
   (* the feasibility entry point degrades the same way *)
   let problem = Workloads.small ~seed:7 ~n_ecus:2 ~n_tasks:4 () in
   for n = 1 to 25 do
@@ -230,7 +231,7 @@ let test_chaos_find_feasible () =
       (fun fallback ->
         let label = Printf.sprintf "find_feasible N=%d fallback=%b" n fallback in
         match
-          Allocator.find_feasible ~budget:(chaos_budget n) ~fallback problem
+          Allocator.find_feasible ~options ~budget:(chaos_budget n) ~fallback problem
         with
         | Allocator.Solved r ->
           Alcotest.(check (list string))
@@ -247,7 +248,7 @@ let test_chaos_find_feasible () =
 
 module Repair = Taskalloc_repair.Repair
 
-let test_chaos_repair () =
+let test_chaos_repair options () =
   (* Fault injection for the online repair engine: the budget trips at
      exactly the nth poll while a repair walks stay-pin probe ->
      migration minimization -> degradation ladder.  At every injection
@@ -296,7 +297,7 @@ let test_chaos_repair () =
       ~tasks:[ task 0 "hi-a" 1; task 1 "hi-b" 1; task 2 "lo" 0 ]
   in
   let alloc =
-    match Allocator.find_feasible problem with
+    match Allocator.find_feasible ~options problem with
     | Allocator.Solved r -> r.Allocator.allocation
     | _ -> Alcotest.fail "chaos repair: fixture must be feasible"
   in
@@ -311,7 +312,7 @@ let test_chaos_repair () =
           false)
         ()
     in
-    let st = Repair.create problem alloc in
+    let st = Repair.create ~options problem alloc in
     (match Repair.repair ~budget st event with
     | Repair.Repaired r ->
       Alcotest.(check bool) "reference repair degrades" true r.Repair.degraded
@@ -325,7 +326,7 @@ let test_chaos_repair () =
   List.iter
     (fun n ->
       let label = Printf.sprintf "repair N=%d" n in
-      let st = Repair.create problem alloc in
+      let st = Repair.create ~options problem alloc in
       let before = Array.copy (Repair.allocation st).Model.task_ecu in
       match Repair.repair ~budget:(chaos_budget n) st event with
       | Repair.Unknown -> (
@@ -355,13 +356,15 @@ let test_chaos_repair () =
         Alcotest.failf "%s: escaped exception %s" label (Printexc.to_string e))
     points
 
-let suite =
+let cases options =
   [
-    Alcotest.test_case "chaos sweep: small TRT" `Slow test_chaos_small_trt;
-    Alcotest.test_case "chaos sweep: small sum-TRT" `Slow test_chaos_small_sum_trt;
-    Alcotest.test_case "chaos sweep: CAN bus load" `Slow test_chaos_can_bus_load;
-    Alcotest.test_case "chaos sweep: infeasible" `Quick test_chaos_infeasible;
-    Alcotest.test_case "chaos sweep: find_feasible" `Quick test_chaos_find_feasible;
-    Alcotest.test_case "chaos sweep: 3-worker portfolio" `Slow test_chaos_portfolio;
-    Alcotest.test_case "chaos sweep: online repair" `Slow test_chaos_repair;
+    Alcotest.test_case "chaos sweep: small TRT" `Slow (test_chaos_small_trt options);
+    Alcotest.test_case "chaos sweep: small sum-TRT" `Slow (test_chaos_small_sum_trt options);
+    Alcotest.test_case "chaos sweep: CAN bus load" `Slow (test_chaos_can_bus_load options);
+    Alcotest.test_case "chaos sweep: infeasible" `Quick (test_chaos_infeasible options);
+    Alcotest.test_case "chaos sweep: find_feasible" `Quick (test_chaos_find_feasible options);
+    Alcotest.test_case "chaos sweep: 3-worker portfolio" `Slow (test_chaos_portfolio options);
+    Alcotest.test_case "chaos sweep: online repair" `Slow (test_chaos_repair options);
   ]
+
+let suite = cases Encode.default_options @ Configs.variants cases

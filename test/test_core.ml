@@ -38,8 +38,8 @@ let to_opt = function
   | Allocator.Infeasible -> None
   | Allocator.Unknown -> Alcotest.fail "Unknown without a budget"
 
-let solve ?options ?mode ?validate problem objective =
-  to_opt (Allocator.solve ?options ?mode ?validate problem objective)
+let solve ~options ?mode ?validate problem objective =
+  to_opt (Allocator.solve ~options ?mode ?validate problem objective)
 
 (* the quickstart instance, with a known optimum *)
 let quickstart_problem () =
@@ -108,9 +108,9 @@ let quickstart_problem () =
   in
   Model.make_problem ~arch ~tasks
 
-let test_quickstart_golden () =
+let test_quickstart_golden options () =
   let problem = quickstart_problem () in
-  match solve problem (Encode.Min_trt 0) with
+  match solve ~options problem (Encode.Min_trt 0) with
   | None -> Alcotest.fail "expected feasible"
   | Some r ->
     (* frame = 6 ticks from the sender, 1 tick for the other station *)
@@ -118,14 +118,14 @@ let test_quickstart_golden () =
     Alcotest.(check (list string)) "checker clean" []
       (List.map (Fmt.str "%a" Check.pp_violation) r.violations)
 
-let test_quickstart_matches_brute_force () =
+let test_quickstart_matches_brute_force options () =
   let problem = quickstart_problem () in
   let expected = brute_force problem (Taskalloc_heuristics.Heuristics.Trt 0) in
-  match solve problem (Encode.Min_trt 0) with
+  match solve ~options problem (Encode.Min_trt 0) with
   | None -> Alcotest.(check (option int)) "both infeasible" expected None
   | Some r -> Alcotest.(check (option int)) "optimum" (Some r.cost) expected
 
-let test_infeasible_detected () =
+let test_infeasible_detected options () =
   (* two mutually separated tasks but only one ECU *)
   let arch =
     {
@@ -177,16 +177,16 @@ let test_infeasible_detected () =
     ]
   in
   let problem = Model.make_problem ~arch ~tasks in
-  Alcotest.(check bool) "infeasible" true (solve problem Encode.Feasible = None)
+  Alcotest.(check bool) "infeasible" true (solve ~options problem Encode.Feasible = None)
 
-let test_generated_small_trt () =
+let test_generated_small_trt options () =
   (* generated instances: solver optimum matches brute force, and the
      extracted allocation passes the analytical checker *)
   List.iter
     (fun seed ->
       let problem = Workloads.small ~seed ~n_ecus:3 ~n_tasks:5 () in
       let expected = brute_force problem (Taskalloc_heuristics.Heuristics.Trt 0) in
-      match solve problem (Encode.Min_trt 0) with
+      match solve ~options problem (Encode.Min_trt 0) with
       | None -> Alcotest.(check (option int)) "both infeasible" expected None
       | Some r ->
         Alcotest.(check (list string)) "checker clean" []
@@ -196,12 +196,12 @@ let test_generated_small_trt () =
         | None -> ()))
     [ 3; 11; 19 ]
 
-let test_generated_small_can_load () =
+let test_generated_small_can_load options () =
   List.iter
     (fun seed ->
       let problem = Workloads.small_can ~seed ~n_ecus:3 ~n_tasks:5 () in
       let expected = brute_force problem (Taskalloc_heuristics.Heuristics.Bus_load 0) in
-      match solve problem (Encode.Min_bus_load 0) with
+      match solve ~options problem (Encode.Min_bus_load 0) with
       | None -> Alcotest.(check (option int)) "both infeasible" expected None
       | Some r ->
         Alcotest.(check (list string)) "checker clean" []
@@ -214,41 +214,41 @@ let test_generated_small_can_load () =
         | None -> ()))
     [ 3; 11 ]
 
-let test_binary_encoding_agrees () =
+let test_binary_encoding_agrees options () =
   let problem = quickstart_problem () in
-  let onehot = solve problem (Encode.Min_trt 0) in
+  let onehot = solve ~options problem (Encode.Min_trt 0) in
   let binary =
     solve
-      ~options:{ Encode.default_options with alloc_encoding = Encode.Binary }
+      ~options:{ options with alloc_encoding = Encode.Binary }
       problem (Encode.Min_trt 0)
   in
   match (onehot, binary) with
   | Some a, Some b -> Alcotest.(check int) "same optimum" a.cost b.cost
   | _ -> Alcotest.fail "both encodings should be feasible"
 
-let test_cnf_pb_agrees () =
+let test_cnf_pb_agrees options () =
   let problem = quickstart_problem () in
-  let native = solve problem (Encode.Min_trt 0) in
+  let native = solve ~options problem (Encode.Min_trt 0) in
   let cnf =
     solve
-      ~options:{ Encode.default_options with pb_mode = Taskalloc_pb.Pb.Cnf }
+      ~options:{ options with pb_mode = Taskalloc_pb.Pb.Cnf }
       problem (Encode.Min_trt 0)
   in
   match (native, cnf) with
   | Some a, Some b -> Alcotest.(check int) "same optimum" a.cost b.cost
   | _ -> Alcotest.fail "both PB modes should be feasible"
 
-let test_fresh_mode_agrees () =
+let test_fresh_mode_agrees options () =
   let problem = quickstart_problem () in
-  let incr = solve problem (Encode.Min_trt 0) in
-  let fresh = solve ~mode:Taskalloc_opt.Opt.Fresh problem (Encode.Min_trt 0) in
+  let incr = solve ~options problem (Encode.Min_trt 0) in
+  let fresh = solve ~options ~mode:Taskalloc_opt.Opt.Fresh problem (Encode.Min_trt 0) in
   match (incr, fresh) with
   | Some a, Some b -> Alcotest.(check int) "same optimum" a.cost b.cost
   | _ -> Alcotest.fail "both modes should be feasible"
 
-let test_max_util_objective () =
+let test_max_util_objective options () =
   let problem = Workloads.small ~seed:5 ~n_ecus:3 ~n_tasks:6 () in
-  match solve problem Encode.Min_max_util with
+  match solve ~options problem Encode.Min_max_util with
   | None -> Alcotest.fail "feasible workload by construction"
   | Some r ->
     Alcotest.(check (list string)) "checker clean" []
@@ -262,16 +262,16 @@ let test_max_util_objective () =
     in
     Alcotest.(check bool) "cost >= actual max util" true (r.cost >= actual)
 
-let test_hierarchical_small () =
+let test_hierarchical_small options () =
   let problem = Workloads.small_hierarchical ~seed:7 ~n_tasks:6 Workloads.C in
-  match solve problem Encode.Min_sum_trt with
+  match solve ~options problem Encode.Min_sum_trt with
   | None -> Alcotest.fail "feasible by construction"
   | Some r ->
     Alcotest.(check (list string)) "checker clean" []
       (List.map (Fmt.str "%a" Check.pp_violation) r.violations);
     Alcotest.(check bool) "cost positive" true (r.cost > 0)
 
-let test_solver_ties_dominate () =
+let test_solver_ties_dominate options () =
   (* Two equal-deadline tasks forced onto one ECU.  With the id
      tie-break (task 0 higher) task 1 misses: r = 4 + ceil(r/5)*3
      diverges past 9.  With the opposite order both fit: r0 = 3 +
@@ -329,13 +329,13 @@ let test_solver_ties_dominate () =
   let problem = Model.make_problem ~arch ~tasks in
   let static =
     solve
-      ~options:{ Encode.default_options with tie_breaking = Encode.Static_ties }
+      ~options:{ options with tie_breaking = Encode.Static_ties }
       problem Encode.Feasible
   in
   Alcotest.(check bool) "static ties infeasible" true (static = None);
   (match
      solve
-       ~options:{ Encode.default_options with tie_breaking = Encode.Solver_ties }
+       ~options:{ options with tie_breaking = Encode.Solver_ties }
        problem Encode.Feasible
    with
   | None -> Alcotest.fail "solver ties should find the swap"
@@ -347,7 +347,7 @@ let test_solver_ties_dominate () =
       Alcotest.(check bool) "task 1 got higher priority" true (rank.(1) < rank.(0))
     | None -> Alcotest.fail "encoder should record the priority order"))
 
-let test_tie_transitivity () =
+let test_tie_transitivity options () =
   (* three equal-deadline tasks; extraction must produce a strict total
      order (a permutation of ranks) *)
   let problem = Workloads.small ~seed:21 ~n_ecus:2 ~n_tasks:4 () in
@@ -357,7 +357,7 @@ let test_tie_transitivity () =
   let problem =
     Model.make_problem ~arch:problem.Model.arch ~tasks:(Array.to_list tasks)
   in
-  match solve problem Encode.Feasible with
+  match solve ~options problem Encode.Feasible with
   | None -> () (* equalizing deadlines may make it infeasible: fine *)
   | Some r -> (
     match r.allocation.Model.priority_rank with
@@ -370,9 +370,9 @@ let test_tie_transitivity () =
         (List.map (Fmt.str "%a" Check.pp_violation) r.violations)
     | None -> Alcotest.fail "rank expected")
 
-let test_feasibility_only () =
+let test_feasibility_only options () =
   let problem = Workloads.small ~seed:9 () in
-  match to_opt (Allocator.find_feasible problem) with
+  match to_opt (Allocator.find_feasible ~options problem) with
   | None -> Alcotest.fail "feasible by construction"
   | Some r ->
     Alcotest.(check (list string)) "checker clean" []
@@ -381,12 +381,12 @@ let test_feasibility_only () =
 (* property: on random tiny instances, the solver's claimed optimum is
    never beaten by any brute-force completion, and its allocation is
    always analytically feasible *)
-let prop_solver_sound_and_dominant =
+let prop_solver_sound_and_dominant options =
   QCheck.Test.make ~count:8 ~name:"solver sound vs checker, dominant vs brute force"
     QCheck.(make Gen.(int_range 1 10_000))
     (fun seed ->
       let problem = Workloads.small ~seed ~n_ecus:2 ~n_tasks:4 () in
-      match solve problem (Encode.Min_trt 0) with
+      match solve ~options problem (Encode.Min_trt 0) with
       | None -> brute_force problem (Taskalloc_heuristics.Heuristics.Trt 0) = None
       | Some r -> (
         r.violations = []
@@ -395,29 +395,29 @@ let prop_solver_sound_and_dominant =
         | Some bf -> r.cost <= bf
         | None -> true))
 
-let test_sum_trt_equals_trt_on_flat () =
+let test_sum_trt_equals_trt_on_flat options () =
   let problem = Workloads.small ~seed:13 () in
-  let a = solve problem (Encode.Min_trt 0) in
-  let b = solve problem Encode.Min_sum_trt in
+  let a = solve ~options problem (Encode.Min_trt 0) in
+  let b = solve ~options problem Encode.Min_sum_trt in
   match (a, b) with
   | Some a, Some b -> Alcotest.(check int) "same optimum on one medium" a.cost b.cost
   | _ -> Alcotest.fail "feasible by construction"
 
-let test_formula_size_reported () =
+let test_formula_size_reported options () =
   let problem = Workloads.small ~seed:13 () in
-  match solve problem (Encode.Min_trt 0) with
+  match solve ~options problem (Encode.Min_trt 0) with
   | Some r ->
     Alcotest.(check bool) "vars > 0" true (r.bool_vars > 0);
     Alcotest.(check bool) "lits >= vars" true (r.literals >= r.bool_vars)
   | None -> Alcotest.fail "feasible by construction"
 
-let test_validate_flag () =
+let test_validate_flag options () =
   let problem = Workloads.small ~seed:13 () in
-  match solve problem (Encode.Min_trt 0) with
+  match solve ~options problem (Encode.Min_trt 0) with
   | Some r ->
     Alcotest.(check (list string)) "validated" []
       (List.map (Fmt.str "%a" Check.pp_violation) r.violations);
-    (match solve ~validate:false problem (Encode.Min_trt 0) with
+    (match solve ~options ~validate:false problem (Encode.Min_trt 0) with
     | Some r' ->
       Alcotest.(check int) "same optimum" r.cost r'.cost;
       Alcotest.(check (list string)) "skipped" []
@@ -425,11 +425,11 @@ let test_validate_flag () =
     | None -> Alcotest.fail "feasible")
   | None -> Alcotest.fail "feasible by construction"
 
-let test_hierarchical_brute_force_bound () =
+let test_hierarchical_brute_force_bound options () =
   (* small hierarchical instance: the solver must not be beaten by any
      placement completed with shortest routes and queue-sized slots *)
   let problem = Workloads.small_hierarchical ~seed:3 ~n_tasks:5 Workloads.C in
-  match solve problem Encode.Min_sum_trt with
+  match solve ~options problem Encode.Min_sum_trt with
   | None -> Alcotest.fail "feasible by construction"
   | Some r -> (
     Alcotest.(check (list string)) "checker clean" []
@@ -441,15 +441,15 @@ let test_hierarchical_brute_force_bound () =
         true (r.cost <= bf)
     | None -> ())
 
-let test_objective_trt_on_priority_bus_rejected () =
+let test_objective_trt_on_priority_bus_rejected options () =
   let problem = Workloads.small_can ~seed:3 () in
   Alcotest.(check bool) "invalid objective" true
     (try
-       ignore (solve problem (Encode.Min_trt 0));
+       ignore (solve ~options problem (Encode.Min_trt 0));
        false
      with Model.Invalid_model _ -> true)
 
-let test_message_forced_across_gateway () =
+let test_message_forced_across_gateway options () =
   (* pin sender and receiver on different buses of architecture A: the
      route must span both media and the checker must accept it *)
   let arch = Taskalloc_workloads.Archs.arch_a () in
@@ -485,7 +485,7 @@ let test_message_forced_across_gateway () =
     ]
   in
   let problem = Model.make_problem ~arch ~tasks in
-  match solve problem Encode.Min_sum_trt with
+  match solve ~options problem Encode.Min_sum_trt with
   | None -> Alcotest.fail "routable"
   | Some r ->
     Alcotest.(check (list string)) "checker clean" []
@@ -530,7 +530,7 @@ let plain_task ?(jitter = 0) ?(blocking = 0) ?(wcets = []) id ~period ~deadline 
     criticality = 0;
   }
 
-let test_blocking_forces_separation () =
+let test_blocking_forces_separation options () =
   (* A (c=4, d=8, t=10) and B (c=5, B=2, d=10, t=10): together
      r_B = 5 + 2 + 4 = 11 > 10, so they must split across the two ECUs;
      without the blocking factor r_B = 9 <= 10 and one ECU suffices. *)
@@ -544,7 +544,7 @@ let test_blocking_forces_separation () =
     in
     Model.make_problem ~arch:(one_ring_arch 2) ~tasks
   in
-  (match solve (with_blocking 2) Encode.Min_max_util with
+  (match solve ~options (with_blocking 2) Encode.Min_max_util with
   | None -> Alcotest.fail "separating is feasible"
   | Some r ->
     Alcotest.(check (list string)) "checker clean" []
@@ -558,21 +558,21 @@ let test_blocking_forces_separation () =
   Alcotest.(check bool) "co-location feasible without blocking" true
     (Check.is_feasible relaxed alloc)
 
-let test_jitter_consumes_deadline () =
+let test_jitter_consumes_deadline options () =
   (* c=5, d=10, t=20: feasible with J=4 (5+4 <= 10), infeasible with
      J=6 (5+6 > 10); encoder and checker must agree *)
   let mk j =
     Model.make_problem ~arch:(one_ring_arch 1)
       ~tasks:[ plain_task 0 ~period:20 ~deadline:10 ~jitter:j ~wcets:[ (0, 5) ] ]
   in
-  (match solve (mk 4) Encode.Feasible with
+  (match solve ~options (mk 4) Encode.Feasible with
   | Some r ->
     Alcotest.(check (list string)) "J=4 feasible" []
       (List.map (Fmt.str "%a" Check.pp_violation) r.violations)
   | None -> Alcotest.fail "J=4 should fit");
-  Alcotest.(check bool) "J=6 infeasible" true (solve (mk 6) Encode.Feasible = None)
+  Alcotest.(check bool) "J=6 infeasible" true (solve ~options (mk 6) Encode.Feasible = None)
 
-let test_interferer_jitter_counts () =
+let test_interferer_jitter_counts options () =
   (* high: c=3, t=10, J=7; low: c=6, d=12, t=20 on one ECU.
      r_low = 6 + ceil((r+7)/10)*3: 9 -> 6+2*3=12 -> 12 <= 12 feasible.
      Tighten d_low to 11: infeasible (12 > 11). *)
@@ -584,14 +584,14 @@ let test_interferer_jitter_counts () =
           plain_task 1 ~period:20 ~deadline:d_low ~wcets:[ (0, 6) ];
         ]
   in
-  (match solve (mk 12) Encode.Feasible with
+  (match solve ~options (mk 12) Encode.Feasible with
   | Some r ->
     Alcotest.(check (list string)) "d=12 feasible" []
       (List.map (Fmt.str "%a" Check.pp_violation) r.violations)
   | None -> Alcotest.fail "d=12 should fit");
-  Alcotest.(check bool) "d=11 infeasible" true (solve (mk 11) Encode.Feasible = None)
+  Alcotest.(check bool) "d=11 infeasible" true (solve ~options (mk 11) Encode.Feasible = None)
 
-let test_jittery_workload_end_to_end () =
+let test_jittery_workload_end_to_end options () =
   List.iter
     (fun seed ->
       let problem = Workloads.small_jittery ~seed () in
@@ -600,14 +600,14 @@ let test_jittery_workload_end_to_end () =
         Array.fold_left (fun a t -> a + t.Model.jitter) 0 problem.Model.tasks
       in
       Alcotest.(check bool) "has jitter" true (total_j > 0);
-      match solve problem (Encode.Min_trt 0) with
+      match solve ~options problem (Encode.Min_trt 0) with
       | None -> Alcotest.fail "feasible by construction"
       | Some r ->
         Alcotest.(check (list string)) "checker clean" []
           (List.map (Fmt.str "%a" Check.pp_violation) r.violations))
     [ 7; 8 ]
 
-let test_diagnose_separation () =
+let test_diagnose_separation options () =
   (* infeasible because two separated tasks share the single ECU: only
      Drop_separation restores feasibility *)
   let tasks =
@@ -618,8 +618,8 @@ let test_diagnose_separation () =
     ]
   in
   let problem = Model.make_problem ~arch:(one_ring_arch 1) ~tasks in
-  Alcotest.(check bool) "infeasible" true (solve problem Encode.Feasible = None);
-  let report = Allocator.diagnose problem in
+  Alcotest.(check bool) "infeasible" true (solve ~options problem Encode.Feasible = None);
+  let report = Allocator.diagnose ~options problem in
   List.iter
     (fun (relaxation, feasible) ->
       let expected =
@@ -630,7 +630,7 @@ let test_diagnose_separation () =
         expected feasible)
     report
 
-let test_diagnose_memory () =
+let test_diagnose_memory options () =
   (* memory-bound infeasibility: two 5-unit tasks, one 6-unit ECU *)
   let arch = { (one_ring_arch 1) with Model.mem_capacity = [| 6 |] } in
   let tasks =
@@ -640,8 +640,8 @@ let test_diagnose_memory () =
     ]
   in
   let problem = Model.make_problem ~arch ~tasks in
-  Alcotest.(check bool) "infeasible" true (solve problem Encode.Feasible = None);
-  let report = Allocator.diagnose problem in
+  Alcotest.(check bool) "infeasible" true (solve ~options problem Encode.Feasible = None);
+  let report = Allocator.diagnose ~options problem in
   Alcotest.(check bool) "memory relaxation helps" true
     (List.exists
        (fun (r, ok) -> r = Allocator.Drop_memory && ok)
@@ -651,9 +651,9 @@ let test_diagnose_memory () =
        (fun (r, ok) -> r = Allocator.Drop_separation && not ok)
        report)
 
-let test_report () =
+let test_report options () =
   let problem = Workloads.small ~seed:13 () in
-  match solve problem (Encode.Min_trt 0) with
+  match solve ~options problem (Encode.Min_trt 0) with
   | None -> Alcotest.fail "feasible by construction"
   | Some r ->
     let report = Report.make problem r.allocation in
@@ -688,11 +688,11 @@ let test_report_flags_misses () =
   | Some s -> Alcotest.(check bool) "negative slack on miss" true (s < 0)
   | None -> Alcotest.fail "slack expected"
 
-let test_incremental_integration () =
+let test_incremental_integration options () =
   (* integrate a 4-task system, then add 2 more tasks: the original
      placement must be preserved verbatim and the result stay feasible *)
   let base = Workloads.small ~seed:31 ~n_ecus:3 ~n_tasks:4 () in
-  match solve base (Encode.Min_trt 0) with
+  match solve ~options base (Encode.Min_trt 0) with
   | None -> Alcotest.fail "base feasible by construction"
   | Some r_base ->
     (* extend with two new independent tasks *)
@@ -724,7 +724,7 @@ let test_incremental_integration () =
     in
     (match
        to_opt
-         (Allocator.solve_incremental ~existing:r_base.Allocator.allocation
+         (Allocator.solve_incremental ~options ~existing:r_base.Allocator.allocation
             extended (Encode.Min_trt 0))
      with
     | None -> Alcotest.fail "extension should fit"
@@ -738,9 +738,9 @@ let test_incremental_integration () =
           r.allocation.Model.task_ecu.(i)
       done)
 
-let test_incremental_rejects_bad_pin () =
+let test_incremental_rejects_bad_pin options () =
   let base = Workloads.small ~seed:31 ~n_ecus:3 ~n_tasks:4 () in
-  match solve base Encode.Feasible with
+  match solve ~options base Encode.Feasible with
   | None -> Alcotest.fail "feasible"
   | Some r ->
     (* forge a placement onto an ECU task 0 cannot run on *)
@@ -757,7 +757,7 @@ let test_incremental_rejects_bad_pin () =
       let forged = { r.Allocator.allocation with Model.task_ecu = bogus } in
       Alcotest.(check bool) "invalid pin rejected" true
         (try
-           ignore (Allocator.solve_incremental ~existing:forged base Encode.Feasible);
+           ignore (Allocator.solve_incremental ~options ~existing:forged base Encode.Feasible);
            false
          with Model.Invalid_model _ -> true))
 
@@ -765,12 +765,12 @@ let test_incremental_rejects_bad_pin () =
 
 module Budget = Allocator.Budget
 
-let test_no_fallback_unknown () =
+let test_no_fallback_unknown options () =
   (* a pre-expired budget with the heuristic rung disabled: the only
      honest answer is a clean Unknown *)
   let problem = Workloads.small ~seed:13 () in
   match
-    Allocator.solve
+    Allocator.solve ~options
       ~budget:(Budget.create ~timeout:0. ())
       ~fallback:false problem (Encode.Min_trt 0)
   with
@@ -778,12 +778,12 @@ let test_no_fallback_unknown () =
   | Allocator.Solved _ -> Alcotest.fail "expired budget cannot solve"
   | Allocator.Infeasible -> Alcotest.fail "cannot prove infeasibility for free"
 
-let test_heuristic_fallback_validated () =
+let test_heuristic_fallback_validated options () =
   (* same expired budget with the fallback enabled: a heuristic answer,
      clearly labelled, and clean under the analytical checker *)
   let problem = Workloads.small ~seed:13 () in
   match
-    Allocator.solve
+    Allocator.solve ~options
       ~budget:(Budget.create ~timeout:0. ())
       problem (Encode.Min_trt 0)
   with
@@ -797,7 +797,7 @@ let test_heuristic_fallback_validated () =
       (List.map (Fmt.str "%a" Check.pp_violation) r.Allocator.violations);
     Alcotest.(check (option (float 0.0001))) "no gap claim" None (Allocator.gap r)
 
-let test_anytime_quality_sound () =
+let test_anytime_quality_sound options () =
   (* sweep conflict budgets upward: every Solved outcome must be sound
      (checker-clean, cost bounded below by the true optimum when the
      provenance claims a bound) and the largest budget must be optimal *)
@@ -806,7 +806,7 @@ let test_anytime_quality_sound () =
   List.iter
     (fun n ->
       match
-        Allocator.solve
+        Allocator.solve ~options
           ~budget:(Budget.create ~max_conflicts:n ~check_every:1 ())
           problem (Encode.Min_trt 0)
       with
@@ -831,11 +831,11 @@ let test_anytime_quality_sound () =
             (r.Allocator.cost >= optimum)))
     [ 0; 1; 2; 5; 20; 10_000 ]
 
-let test_gap_tolerance_early_stop () =
+let test_gap_tolerance_early_stop options () =
   (* any first incumbent is within a 100% gap; the result must carry an
      honest provenance (not claim optimality unless bounds met) *)
   let problem = quickstart_problem () in
-  match Allocator.solve ~gap_tol:1.0 problem (Encode.Min_trt 0) with
+  match Allocator.solve ~options ~gap_tol:1.0 problem (Encode.Min_trt 0) with
   | Allocator.Solved r ->
     Alcotest.(check (list string)) "checker clean" []
       (List.map (Fmt.str "%a" Check.pp_violation) r.Allocator.violations);
@@ -941,17 +941,18 @@ let permute_ecus perm problem =
   in
   Model.make_problem ~arch:arch' ~tasks:tasks'
 
-let optimum problem = Option.map (fun r -> r.Allocator.cost) (solve problem (Encode.Min_trt 0))
+let optimum ~options problem =
+  Option.map (fun r -> r.Allocator.cost) (solve ~options problem (Encode.Min_trt 0))
 
-let test_metamorphic_task_permutation () =
-  let base = optimum (quickstart_problem ()) in
+let test_metamorphic_task_permutation options () =
+  let base = optimum ~options (quickstart_problem ()) in
   List.iter
     (fun order ->
       Alcotest.(check (option int)) "optimum invariant under task relabeling" base
-        (optimum (permute_tasks order (quickstart_problem ()))))
+        (optimum ~options (permute_tasks order (quickstart_problem ()))))
     [ [ 2; 0; 1 ]; [ 1; 2; 0 ]; [ 2; 1; 0 ] ]
 
-let test_metamorphic_time_scaling () =
+let test_metamorphic_time_scaling options () =
   (* response-time fixed points scale exactly with k (see the rt-suite
      metamorphic tests), so scaling a solution scales its cost by k and
      the scaled optimum is at most k times the original.  It can be
@@ -960,18 +961,18 @@ let test_metamorphic_time_scaling () =
      7 -> 19, not 21, the receiver's slot staying at 1 tick instead
      of 3).  Feasibility, however, must be invariant. *)
   let k = 3 in
-  match (optimum (quickstart_problem ()), optimum (scale_times k (quickstart_problem ()))) with
+  match (optimum ~options (quickstart_problem ()), optimum ~options (scale_times k (quickstart_problem ()))) with
   | Some c, Some c' ->
     Alcotest.(check int) "base optimum" 7 c;
     Alcotest.(check bool) "scaled optimum within [c, k*c]" true (c <= c' && c' <= k * c)
   | _ -> Alcotest.fail "quickstart is feasible"
 
-let test_metamorphic_ecu_permutation () =
-  let base = optimum (quickstart_problem ()) in
+let test_metamorphic_ecu_permutation options () =
+  let base = optimum ~options (quickstart_problem ()) in
   Alcotest.(check (option int)) "optimum invariant under ECU relabeling" base
-    (optimum (permute_ecus [| 1; 0 |] (quickstart_problem ())))
+    (optimum ~options (permute_ecus [| 1; 0 |] (quickstart_problem ())))
 
-let test_metamorphic_infeasible_invariant () =
+let test_metamorphic_infeasible_invariant options () =
   (* two mutually separated tasks on one ECU: infeasible however the
      instance is relabeled or rescaled *)
   let infeasible =
@@ -1029,47 +1030,54 @@ let test_metamorphic_infeasible_invariant () =
   List.iter
     (fun problem ->
       Alcotest.(check bool) "still infeasible" true
-        (solve problem Encode.Feasible = None))
+        (solve ~options problem Encode.Feasible = None))
     [ infeasible; permute_tasks [ 1; 0 ] infeasible; scale_times 4 infeasible ]
+
+(* every case that encodes, under one encoder configuration *)
+let cases options =
+  [
+    Alcotest.test_case "quickstart golden" `Quick (test_quickstart_golden options);
+    Alcotest.test_case "quickstart vs brute force" `Quick (test_quickstart_matches_brute_force options);
+    Alcotest.test_case "infeasible detected" `Quick (test_infeasible_detected options);
+    Alcotest.test_case "generated TRT vs brute force" `Slow (test_generated_small_trt options);
+    Alcotest.test_case "generated CAN load vs brute force" `Slow (test_generated_small_can_load options);
+    Alcotest.test_case "binary encoding agrees" `Quick (test_binary_encoding_agrees options);
+    Alcotest.test_case "cnf pb agrees" `Quick (test_cnf_pb_agrees options);
+    Alcotest.test_case "fresh mode agrees" `Quick (test_fresh_mode_agrees options);
+    Alcotest.test_case "max util objective" `Slow (test_max_util_objective options);
+    Alcotest.test_case "hierarchical small" `Slow (test_hierarchical_small options);
+    Alcotest.test_case "solver ties dominate" `Quick (test_solver_ties_dominate options);
+    Alcotest.test_case "tie transitivity" `Quick (test_tie_transitivity options);
+    Alcotest.test_case "feasibility only" `Quick (test_feasibility_only options);
+    Alcotest.test_case "sum-trt = trt on flat" `Quick (test_sum_trt_equals_trt_on_flat options);
+    Alcotest.test_case "formula size reported" `Quick (test_formula_size_reported options);
+    Alcotest.test_case "validate flag" `Quick (test_validate_flag options);
+    Alcotest.test_case "hierarchical brute force bound" `Slow (test_hierarchical_brute_force_bound options);
+    Alcotest.test_case "trt on priority bus rejected" `Quick (test_objective_trt_on_priority_bus_rejected options);
+    Alcotest.test_case "forced gateway crossing" `Quick (test_message_forced_across_gateway options);
+    Alcotest.test_case "blocking forces separation" `Quick (test_blocking_forces_separation options);
+    Alcotest.test_case "jitter consumes deadline" `Quick (test_jitter_consumes_deadline options);
+    Alcotest.test_case "interferer jitter counts" `Quick (test_interferer_jitter_counts options);
+    Alcotest.test_case "jittery workload end to end" `Slow (test_jittery_workload_end_to_end options);
+    Alcotest.test_case "incremental integration" `Quick (test_incremental_integration options);
+    Alcotest.test_case "incremental rejects bad pin" `Quick (test_incremental_rejects_bad_pin options);
+    Alcotest.test_case "report" `Quick (test_report options);
+    Alcotest.test_case "diagnose separation" `Quick (test_diagnose_separation options);
+    Alcotest.test_case "diagnose memory" `Quick (test_diagnose_memory options);
+    Alcotest.test_case "no fallback yields Unknown" `Quick (test_no_fallback_unknown options);
+    Alcotest.test_case "heuristic fallback validated" `Quick (test_heuristic_fallback_validated options);
+    Alcotest.test_case "anytime quality sound" `Quick (test_anytime_quality_sound options);
+    Alcotest.test_case "gap tolerance early stop" `Quick (test_gap_tolerance_early_stop options);
+    Alcotest.test_case "metamorphic task permutation" `Quick (test_metamorphic_task_permutation options);
+    Alcotest.test_case "metamorphic time scaling" `Quick (test_metamorphic_time_scaling options);
+    Alcotest.test_case "metamorphic ecu permutation" `Quick (test_metamorphic_ecu_permutation options);
+    Alcotest.test_case "metamorphic infeasible invariant" `Quick (test_metamorphic_infeasible_invariant options);
+    QCheck_alcotest.to_alcotest (prop_solver_sound_and_dominant options);
+  ]
 
 let suite =
   [
-    Alcotest.test_case "quickstart golden" `Quick test_quickstart_golden;
-    Alcotest.test_case "quickstart vs brute force" `Quick test_quickstart_matches_brute_force;
-    Alcotest.test_case "infeasible detected" `Quick test_infeasible_detected;
-    Alcotest.test_case "generated TRT vs brute force" `Slow test_generated_small_trt;
-    Alcotest.test_case "generated CAN load vs brute force" `Slow test_generated_small_can_load;
-    Alcotest.test_case "binary encoding agrees" `Quick test_binary_encoding_agrees;
-    Alcotest.test_case "cnf pb agrees" `Quick test_cnf_pb_agrees;
-    Alcotest.test_case "fresh mode agrees" `Quick test_fresh_mode_agrees;
-    Alcotest.test_case "max util objective" `Slow test_max_util_objective;
-    Alcotest.test_case "hierarchical small" `Slow test_hierarchical_small;
-    Alcotest.test_case "solver ties dominate" `Quick test_solver_ties_dominate;
-    Alcotest.test_case "tie transitivity" `Quick test_tie_transitivity;
-    Alcotest.test_case "feasibility only" `Quick test_feasibility_only;
-    Alcotest.test_case "sum-trt = trt on flat" `Quick test_sum_trt_equals_trt_on_flat;
-    Alcotest.test_case "formula size reported" `Quick test_formula_size_reported;
-    Alcotest.test_case "validate flag" `Quick test_validate_flag;
-    Alcotest.test_case "hierarchical brute force bound" `Slow test_hierarchical_brute_force_bound;
-    Alcotest.test_case "trt on priority bus rejected" `Quick test_objective_trt_on_priority_bus_rejected;
-    Alcotest.test_case "forced gateway crossing" `Quick test_message_forced_across_gateway;
-    Alcotest.test_case "blocking forces separation" `Quick test_blocking_forces_separation;
-    Alcotest.test_case "jitter consumes deadline" `Quick test_jitter_consumes_deadline;
-    Alcotest.test_case "interferer jitter counts" `Quick test_interferer_jitter_counts;
-    Alcotest.test_case "jittery workload end to end" `Slow test_jittery_workload_end_to_end;
-    Alcotest.test_case "incremental integration" `Quick test_incremental_integration;
-    Alcotest.test_case "incremental rejects bad pin" `Quick test_incremental_rejects_bad_pin;
-    Alcotest.test_case "report" `Quick test_report;
     Alcotest.test_case "report flags misses" `Quick test_report_flags_misses;
-    Alcotest.test_case "diagnose separation" `Quick test_diagnose_separation;
-    Alcotest.test_case "diagnose memory" `Quick test_diagnose_memory;
-    Alcotest.test_case "no fallback yields Unknown" `Quick test_no_fallback_unknown;
-    Alcotest.test_case "heuristic fallback validated" `Quick test_heuristic_fallback_validated;
-    Alcotest.test_case "anytime quality sound" `Quick test_anytime_quality_sound;
-    Alcotest.test_case "gap tolerance early stop" `Quick test_gap_tolerance_early_stop;
-    Alcotest.test_case "metamorphic task permutation" `Quick test_metamorphic_task_permutation;
-    Alcotest.test_case "metamorphic time scaling" `Quick test_metamorphic_time_scaling;
-    Alcotest.test_case "metamorphic ecu permutation" `Quick test_metamorphic_ecu_permutation;
-    Alcotest.test_case "metamorphic infeasible invariant" `Quick test_metamorphic_infeasible_invariant;
-    QCheck_alcotest.to_alcotest prop_solver_sound_and_dominant;
   ]
+  @ cases Encode.default_options
+  @ Configs.variants cases

@@ -76,11 +76,10 @@ let core_ids status =
 (* Oracle: re-check a reported core against a fresh grouped encoding.
    The group ids are stable across encodings of the same problem, so we
    can look the selectors up by id.  The probe runs the solve/refine
-   loop so the oracle stays sound when the default encoding is lazy
-   (TASKALLOC_LAZY=1): an abstract Sat is provisional until refinement
-   reaches a fixpoint. *)
-let fresh_session problem =
-  let enc = Encode.encode ~groups:true problem Encode.Feasible in
+   loop so the oracle stays sound on the lazy encoding: an abstract Sat
+   is provisional until refinement reaches a fixpoint. *)
+let fresh_session ~options problem =
+  let enc = Encode.encode ~options ~groups:true problem Encode.Feasible in
   let solver = Bv.solver (Encode.context enc) in
   let selector_of id =
     match
@@ -102,17 +101,17 @@ let fresh_session problem =
 
 let assume_groups assume _selector_of ids = assume ids
 
-let test_explain_feasible () =
-  let report = Explain.explain (feasible_problem ()) in
+let test_explain_feasible options () =
+  let report = Explain.explain ~options (feasible_problem ()) in
   (match report.Explain.status with
   | Explain.Feasible -> ()
   | _ -> Alcotest.fail "expected Feasible");
   Alcotest.(check (list (list string))) "no relaxations" []
     (List.map (List.map Encode.group_id) report.Explain.relaxations)
 
-let test_explain_core_is_deadlines () =
+let test_explain_core_is_deadlines options () =
   let problem = overconstrained () in
-  let report = Explain.explain problem in
+  let report = Explain.explain ~options problem in
   match report.Explain.status with
   | Explain.Explained { core; minimal } ->
     Alcotest.(check bool) "minimal" true minimal;
@@ -125,20 +124,20 @@ let test_explain_core_is_deadlines () =
       core
   | _ -> Alcotest.fail "expected Explained"
 
-let test_core_unsat_in_isolation () =
+let test_core_unsat_in_isolation options () =
   let problem = overconstrained () in
-  let report = Explain.explain problem in
+  let report = Explain.explain ~options problem in
   let ids = core_ids report.Explain.status in
-  let assume, selector_of = fresh_session problem in
+  let assume, selector_of = fresh_session ~options problem in
   Alcotest.(check bool) "core unsat in a fresh session" true
     (assume_groups assume selector_of ids = Solver.Unsat)
 
-let test_core_minimality () =
+let test_core_minimality options () =
   (* deletion oracle: dropping any single group from the MUS is Sat *)
   let problem = overconstrained () in
-  let report = Explain.explain problem in
+  let report = Explain.explain ~options problem in
   let ids = core_ids report.Explain.status in
-  let assume, selector_of = fresh_session problem in
+  let assume, selector_of = fresh_session ~options problem in
   List.iter
     (fun dropped ->
       let rest = List.filter (fun id -> id <> dropped) ids in
@@ -148,15 +147,13 @@ let test_core_minimality () =
         (assume_groups assume selector_of rest = Solver.Sat))
     ids
 
-let lazy_opts = { Encode.default_options with Encode.lazy_mode = true }
-
 let test_core_minimality_lazy () =
   (* the CEGAR encoding must reproduce the eager diagnosis: the same
      unique MUS, proven minimal, with a lazy session as the deletion
      oracle (Session.solve refines to a fixpoint before answering Sat,
      so the oracle itself exercises the abstraction loop) *)
   let problem = overconstrained () in
-  let report = Explain.explain ~options:lazy_opts problem in
+  let report = Explain.explain ~options:Configs.lazy_ problem in
   (match report.Explain.status with
   | Explain.Explained { minimal; _ } ->
     Alcotest.(check bool) "minimal" true minimal
@@ -167,7 +164,7 @@ let test_core_minimality_lazy () =
     "same MUS as eager"
     (List.sort compare (core_ids eager.Explain.status))
     (List.sort compare ids);
-  let sess = Explain.Session.create ~options:lazy_opts problem in
+  let sess = Explain.Session.create ~options:Configs.lazy_ problem in
   let groups = Explain.Session.groups sess in
   let index_of id =
     let found = ref (-1) in
@@ -185,9 +182,9 @@ let test_core_minimality_lazy () =
         (Explain.Session.solve sess rest = Solver.Sat))
     idxs
 
-let test_relaxations_restore_feasibility () =
+let test_relaxations_restore_feasibility options () =
   let problem = overconstrained () in
-  let report = Explain.explain ~max_relaxations:3 problem in
+  let report = Explain.explain ~options ~max_relaxations:3 problem in
   Alcotest.(check bool) "some relaxation reported" true
     (report.Explain.relaxations <> []);
   let all = Encode.groups (Encode.encode ~groups:true problem Encode.Feasible) in
@@ -201,23 +198,23 @@ let test_relaxations_restore_feasibility () =
             if List.mem id relax_ids then None else Some id)
           all
       in
-      let assume, selector_of = fresh_session problem in
+      let assume, selector_of = fresh_session ~options problem in
       Alcotest.(check bool)
         ("feasible after dropping " ^ String.concat "," relax_ids)
         true
         (assume_groups assume selector_of keep = Solver.Sat))
     report.Explain.relaxations
 
-let test_parallel_shrink_agrees () =
+let test_parallel_shrink_agrees options () =
   let problem = overconstrained () in
-  let seq = Explain.explain problem in
-  let par = Explain.explain ~jobs:2 problem in
+  let seq = Explain.explain ~options problem in
+  let par = Explain.explain ~options ~jobs:2 problem in
   let sort = List.sort compare in
   Alcotest.(check (list string))
     "same core set" (sort (core_ids seq.Explain.status))
     (sort (core_ids par.Explain.status))
 
-let test_budget_expiry_mid_shrink () =
+let test_budget_expiry_mid_shrink options () =
   (* chaos: starve the engine at various conflict budgets; it must
      never raise, and any Explained answer must be a genuine unsat
      core (possibly non-minimal) *)
@@ -225,7 +222,7 @@ let test_budget_expiry_mid_shrink () =
   List.iter
     (fun max_conflicts ->
       let budget = Budget.create ~max_conflicts () in
-      let report = Explain.explain ~budget problem in
+      let report = Explain.explain ~options ~budget problem in
       match report.Explain.status with
       | Explain.Unknown | Explain.Feasible -> ()
       | Explain.Explained { core = []; _ } ->
@@ -233,7 +230,7 @@ let test_budget_expiry_mid_shrink () =
            false for this instance *)
         Alcotest.fail "empty core under budget starvation"
       | Explain.Explained { core; _ } ->
-        let assume, selector_of = fresh_session problem in
+        let assume, selector_of = fresh_session ~options problem in
         Alcotest.(check bool)
           (Printf.sprintf "valid core at budget %d" max_conflicts)
           true
@@ -241,9 +238,9 @@ let test_budget_expiry_mid_shrink () =
           = Solver.Unsat))
     [ 1; 5; 20; 100; 1000 ]
 
-let test_whatif_session_reuse () =
+let test_whatif_session_reuse options () =
   let problem = overconstrained () in
-  let w = Explain.Whatif.create problem in
+  let w = Explain.Whatif.create ~options problem in
   let expect_infeasible label v =
     match v with
     | Explain.Whatif.Infeasible { groups; _ } ->
@@ -270,9 +267,9 @@ let test_whatif_session_reuse () =
        ]);
   Alcotest.(check int) "queries counted" 4 (Explain.Whatif.queries w)
 
-let test_whatif_deadline_delta () =
+let test_whatif_deadline_delta options () =
   let problem = feasible_problem () in
-  let w = Explain.Whatif.create problem in
+  let w = Explain.Whatif.create ~options problem in
   (match Explain.Whatif.query w [] with
   | Explain.Whatif.Feasible { relaxed; _ } ->
     Alcotest.(check bool) "baseline not relaxed" false relaxed
@@ -288,14 +285,14 @@ let test_whatif_deadline_delta () =
   | Explain.Whatif.Feasible _ -> ()
   | _ -> Alcotest.fail "one tightened deadline should stay feasible"
 
-let test_whatif_cache_bounded () =
+let test_whatif_cache_bounded options () =
   (* regression: the per-(task, deadline) reification cache used to
      grow without bound on long-lived sessions.  150 distinct deadline
      deltas on one session must stay within the cache cap, and deltas
      whose bits were evicted must still answer correctly when asked
      again (re-reified, not corrupted). *)
   let problem = feasible_problem () in
-  let w = Explain.Whatif.create problem in
+  let w = Explain.Whatif.create ~options problem in
   let ask deadline =
     Explain.Whatif.query w
       [ Explain.Whatif.Set_deadline { task = 0; deadline } ]
@@ -319,16 +316,13 @@ let test_whatif_cache_bounded () =
   | _ -> Alcotest.fail "deadline below the WCET must stay infeasible");
   Alcotest.(check int) "queries counted" 152 (Explain.Whatif.queries w)
 
-let inprocess_opts =
-  { Encode.default_options with Encode.inprocess = Some true }
-
 let test_explain_inprocessing () =
   (* frozen-variable regression: group selectors are assumption
      variables, so BVE must leave them standing for the MUS machinery
      to keep its meaning.  The diagnosis must match the default
      encoding's unique MUS exactly. *)
   let problem = overconstrained () in
-  let report = Explain.explain ~options:inprocess_opts problem in
+  let report = Explain.explain ~options:Configs.inprocess problem in
   (match report.Explain.status with
   | Explain.Explained { minimal; _ } ->
     Alcotest.(check bool) "minimal" true minimal
@@ -344,7 +338,7 @@ let test_whatif_inprocessing () =
      reify against response-time terms whose variables the session
      names later, so elimination must never invalidate a cached bit *)
   let problem = feasible_problem () in
-  let w = Explain.Whatif.create ~options:inprocess_opts problem in
+  let w = Explain.Whatif.create ~options:Configs.inprocess problem in
   (match Explain.Whatif.query w [] with
   | Explain.Whatif.Feasible { relaxed; _ } ->
     Alcotest.(check bool) "baseline not relaxed" false relaxed
@@ -390,7 +384,7 @@ let test_parse_deltas () =
 (* Random instances on two ECUs: whenever the engine explains one, the
    core must re-solve to Unsat in a fresh session and, when claimed
    minimal, lose unsatisfiability on every single-group deletion. *)
-let prop_explained_cores_check =
+let prop_explained_cores_check options =
   let gen =
     QCheck.Gen.(
       let* n_tasks = int_range 2 5 in
@@ -415,12 +409,12 @@ let prop_explained_cores_check =
   QCheck.Test.make ~count:40 ~name:"explained cores verify against the oracle"
     (QCheck.make gen)
     (fun problem ->
-      let report = Explain.explain problem in
+      let report = Explain.explain ~options problem in
       match report.Explain.status with
       | Explain.Feasible | Explain.Unknown -> true
       | Explain.Explained { core; minimal } ->
         let ids = List.map Encode.group_id core in
-        let assume, selector_of = fresh_session problem in
+        let assume, selector_of = fresh_session ~options problem in
         assume_groups assume selector_of ids = Solver.Unsat
         && ((not minimal)
            || List.for_all
@@ -429,25 +423,36 @@ let prop_explained_cores_check =
                   assume_groups assume selector_of rest = Solver.Sat)
                 ids))
 
-let suite =
+(* every case built on the default encoder configuration *)
+let cases options =
   [
-    Alcotest.test_case "feasible problem" `Quick test_explain_feasible;
+    Alcotest.test_case "feasible problem" `Quick (test_explain_feasible options);
     Alcotest.test_case "core is the three deadlines" `Quick
-      test_explain_core_is_deadlines;
-    Alcotest.test_case "core unsat in isolation" `Quick test_core_unsat_in_isolation;
-    Alcotest.test_case "core minimality" `Quick test_core_minimality;
-    Alcotest.test_case "core minimality (lazy encoding)" `Quick
-      test_core_minimality_lazy;
+      (test_explain_core_is_deadlines options);
+    Alcotest.test_case "core unsat in isolation" `Quick
+      (test_core_unsat_in_isolation options);
+    Alcotest.test_case "core minimality" `Quick (test_core_minimality options);
     Alcotest.test_case "relaxations restore feasibility" `Quick
-      test_relaxations_restore_feasibility;
-    Alcotest.test_case "parallel shrink agrees" `Quick test_parallel_shrink_agrees;
-    Alcotest.test_case "budget expiry mid-shrink" `Quick test_budget_expiry_mid_shrink;
-    Alcotest.test_case "whatif session reuse" `Quick test_whatif_session_reuse;
-    Alcotest.test_case "whatif deadline deltas" `Quick test_whatif_deadline_delta;
+      (test_relaxations_restore_feasibility options);
+    Alcotest.test_case "parallel shrink agrees" `Quick
+      (test_parallel_shrink_agrees options);
+    Alcotest.test_case "budget expiry mid-shrink" `Quick
+      (test_budget_expiry_mid_shrink options);
+    Alcotest.test_case "whatif session reuse" `Quick (test_whatif_session_reuse options);
+    Alcotest.test_case "whatif deadline deltas" `Quick
+      (test_whatif_deadline_delta options);
     Alcotest.test_case "whatif deadline-bit cache stays bounded" `Quick
-      test_whatif_cache_bounded;
-    Alcotest.test_case "explain with inprocessing" `Quick test_explain_inprocessing;
-    Alcotest.test_case "whatif with inprocessing" `Quick test_whatif_inprocessing;
-    Alcotest.test_case "parse deltas" `Quick test_parse_deltas;
-    QCheck_alcotest.to_alcotest prop_explained_cores_check;
+      (test_whatif_cache_bounded options);
+    QCheck_alcotest.to_alcotest (prop_explained_cores_check options);
   ]
+
+let suite =
+  cases Encode.default_options
+  @ [
+      Alcotest.test_case "core minimality (lazy encoding)" `Quick
+        test_core_minimality_lazy;
+      Alcotest.test_case "explain with inprocessing" `Quick test_explain_inprocessing;
+      Alcotest.test_case "whatif with inprocessing" `Quick test_whatif_inprocessing;
+      Alcotest.test_case "parse deltas" `Quick test_parse_deltas;
+    ]
+  @ Configs.variants cases

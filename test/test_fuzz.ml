@@ -5,6 +5,8 @@
 
 module Fuzz = Taskalloc_fuzz.Fuzz
 
+let errors r = List.map (fun f -> f.Fuzz.fail_error) r.Fuzz.failures
+
 let qcheck_case name count gen =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name
@@ -47,61 +49,83 @@ let test_shrink_keeps_passing_case () =
     (Fuzz.shrink case = case)
 
 let test_campaign_clean () =
-  let report = Fuzz.run ~iters:60 ~seed:1 () in
+  let report = Fuzz.run ~campaign:Fuzz.Sat ~iters:60 ~seed:1 () in
+  let c = report.Fuzz.counts in
   Alcotest.(check int) "all iterations ran" 60 report.Fuzz.iters;
   Alcotest.(check bool) "both polarities exercised" true
-    (report.Fuzz.n_sat > 0 && report.Fuzz.n_unsat > 0);
-  Alcotest.(check int) "no discrepancies" 0 (List.length report.Fuzz.failures)
+    (c.Fuzz.sat > 0 && c.Fuzz.unsat > 0);
+  Alcotest.(check int) "every unsat trace certified" c.Fuzz.unsat
+    c.Fuzz.certified;
+  Alcotest.(check (list string)) "no discrepancies" [] (errors report)
 
 let test_campaign_portfolio () =
   (* the certifying interlock under parallel solving: every case is
      raced by 2 workers, the winner's Unsat trace must still certify *)
-  let report = Fuzz.run ~jobs:2 ~iters:40 ~seed:3 () in
+  let report = Fuzz.run ~campaign:Fuzz.Sat ~jobs:2 ~iters:40 ~seed:3 () in
+  let c = report.Fuzz.counts in
   Alcotest.(check int) "all iterations ran" 40 report.Fuzz.iters;
   Alcotest.(check bool) "both polarities exercised" true
-    (report.Fuzz.n_sat > 0 && report.Fuzz.n_unsat > 0);
-  Alcotest.(check int) "no discrepancies" 0 (List.length report.Fuzz.failures)
+    (c.Fuzz.sat > 0 && c.Fuzz.unsat > 0);
+  Alcotest.(check (list string)) "no discrepancies" [] (errors report)
 
 let test_campaign_large_instances () =
   (* push to the 16-var oracle limit to stress PB propagation depth *)
-  let report = Fuzz.run ~max_vars:14 ~iters:25 ~seed:2 () in
-  Alcotest.(check int) "no discrepancies" 0 (List.length report.Fuzz.failures)
+  let report = Fuzz.run ~campaign:Fuzz.Sat ~max_vars:14 ~iters:25 ~seed:2 () in
+  Alcotest.(check (list string)) "no discrepancies" [] (errors report)
 
 let test_disruption_campaign () =
-  let report = Fuzz.run_disruptions ~iters:25 ~seed:5 () in
-  Alcotest.(check int) "all campaigns ran" 25 report.Fuzz.d_iters;
-  Alcotest.(check bool) "events injected" true (report.Fuzz.d_events > 0);
-  Alcotest.(check bool) "oracle exercised" true
-    (report.Fuzz.d_oracle_checked > 0);
-  Alcotest.(check int) "no unknowns without a budget" 0 report.Fuzz.d_unknown;
-  Alcotest.(check (list string)) "no failures" [] report.Fuzz.d_failures
+  let report = Fuzz.run ~campaign:Fuzz.Disruptions ~iters:25 ~seed:5 () in
+  let c = report.Fuzz.counts in
+  Alcotest.(check int) "all campaigns ran" 25 report.Fuzz.iters;
+  Alcotest.(check bool) "events injected" true (c.Fuzz.events > 0);
+  Alcotest.(check bool) "oracle exercised" true (c.Fuzz.oracle_checked > 0);
+  Alcotest.(check int) "no unknowns without a budget" 0 c.Fuzz.unknown;
+  Alcotest.(check (list string)) "no failures" [] (errors report)
 
-let test_disruption_campaign_parallel () =
+let test_campaigns_jobs_invariant () =
   (* results must be independent of how iterations are spread over
      domains: only wall time may differ *)
-  let a = Fuzz.run_disruptions ~iters:12 ~seed:9 () in
-  let b = Fuzz.run_disruptions ~jobs:2 ~iters:12 ~seed:9 () in
-  Alcotest.(check (list string)) "no failures" [] b.Fuzz.d_failures;
-  Alcotest.(check bool) "jobs-invariant totals" true
-    (a.Fuzz.d_repaired = b.Fuzz.d_repaired
-    && a.Fuzz.d_degraded = b.Fuzz.d_degraded
-    && a.Fuzz.d_irreparable = b.Fuzz.d_irreparable
-    && a.Fuzz.d_events = b.Fuzz.d_events)
+  List.iter
+    (fun (campaign, iters, seed) ->
+      let a = Fuzz.run ~campaign ~iters ~seed () in
+      let b = Fuzz.run ~campaign ~jobs:2 ~iters ~seed () in
+      Alcotest.(check (list string)) "no failures" [] (errors b);
+      Alcotest.(check bool) "jobs-invariant totals" true
+        (a.Fuzz.counts = b.Fuzz.counts);
+      Alcotest.(check int) "one time sample per iteration" iters
+        (Taskalloc_obs.Obs.Hist.count b.Fuzz.solve_us))
+    [ (Fuzz.Disruptions, 12, 9); (Fuzz.Lazy, 6, 9); (Fuzz.Inprocess, 6, 9) ]
 
 let test_inprocess_campaign () =
-  (* differential: each case solved with and without the inprocessing
-     passes must agree, inprocessed Unsat traces must certify, and the
-     allocation legs must reach identical proven optima (the
-     frozen-variable interface end to end) *)
-  let report = Fuzz.run_inprocess ~iters:20 ~seed:11 () in
-  Alcotest.(check int) "all iterations ran" 20 report.Fuzz.i_iters;
+  (* each case solved with the inprocessing passes must agree with the
+     oracle, inprocessed Unsat traces must certify, and the allocation
+     legs must reach identical proven optima with and without the
+     passes (the frozen-variable interface end to end) *)
+  let report = Fuzz.run ~campaign:Fuzz.Inprocess ~iters:20 ~seed:11 () in
+  let c = report.Fuzz.counts in
+  Alcotest.(check int) "all iterations ran" 20 report.Fuzz.iters;
   Alcotest.(check bool) "both polarities exercised" true
-    (report.Fuzz.i_sat > 0 && report.Fuzz.i_unsat > 0);
-  Alcotest.(check int) "every inprocessed unsat trace certified"
-    report.Fuzz.i_unsat report.Fuzz.i_certified;
-  Alcotest.(check bool) "allocation legs exercised" true
-    (report.Fuzz.i_alloc_solved > 0);
-  Alcotest.(check (list string)) "no discrepancies" [] report.Fuzz.i_failures
+    (c.Fuzz.sat > 0 && c.Fuzz.unsat > 0);
+  Alcotest.(check int) "every inprocessed unsat trace certified" c.Fuzz.unsat
+    c.Fuzz.certified;
+  Alcotest.(check bool) "allocation legs exercised" true (c.Fuzz.solved > 0);
+  Alcotest.(check (list string)) "no discrepancies" [] (errors report)
+
+let test_partition () =
+  (* pure: no domain is spawned here *)
+  for jobs = 1 to 12 do
+    for n = 0 to 30 do
+      let chunks = Fuzz.partition ~jobs n in
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d n=%d: every index exactly once, in order" jobs n)
+        (List.init n Fun.id) (List.concat chunks);
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d n=%d: at most min jobs n non-empty chunks" jobs n)
+        true
+        (List.length chunks <= min jobs n
+        && List.for_all (fun c -> c <> []) chunks)
+    done
+  done
 
 let suite =
   [
@@ -119,7 +143,8 @@ let suite =
     Alcotest.test_case "disruption campaign vs oracle" `Slow
       test_disruption_campaign;
     Alcotest.test_case "disruption campaign over 2 domains" `Slow
-      test_disruption_campaign_parallel;
+      test_campaigns_jobs_invariant;
     Alcotest.test_case "inprocessing differential campaign" `Slow
       test_inprocess_campaign;
+    Alcotest.test_case "iteration partition over domains" `Quick test_partition;
   ]

@@ -29,13 +29,14 @@ let test_random_search_feasible () =
     Alcotest.(check bool) "feasible" true (Check.is_feasible problem alloc)
   | None -> Alcotest.fail "random search should find a feasible point"
 
-let test_sa_never_beats_optimal () =
+let test_sa_never_beats_optimal options () =
   List.iter
     (fun seed ->
       let problem = Workloads.small ~seed ~n_ecus:3 ~n_tasks:5 () in
       let optimal =
         match
-          Taskalloc_core.Allocator.solve problem (Taskalloc_core.Encode.Min_trt 0)
+          Taskalloc_core.Allocator.solve ~options problem
+            (Taskalloc_core.Encode.Min_trt 0)
         with
         | Taskalloc_core.Allocator.Solved r -> Some r
         | Taskalloc_core.Allocator.Infeasible -> None
@@ -125,7 +126,8 @@ let suite =
     Alcotest.test_case "greedy feasible" `Quick test_greedy_feasible;
     Alcotest.test_case "sa feasible" `Slow test_sa_feasible;
     Alcotest.test_case "random search feasible" `Quick test_random_search_feasible;
-    Alcotest.test_case "sa never beats optimal" `Slow test_sa_never_beats_optimal;
+    Alcotest.test_case "sa never beats optimal" `Slow
+      (test_sa_never_beats_optimal Taskalloc_core.Encode.default_options);
     Alcotest.test_case "penalty zero iff feasible" `Quick test_penalty_zero_iff_feasible;
     Alcotest.test_case "evaluate objectives" `Quick test_evaluate_objectives;
     Alcotest.test_case "sa deterministic" `Quick test_sa_deterministic;
@@ -133,3 +135,8 @@ let suite =
     Alcotest.test_case "random search deterministic" `Quick test_random_search_deterministic;
     Alcotest.test_case "penalty vs checker" `Quick test_penalty_positive_when_infeasible;
   ]
+  @ Configs.variants (fun options ->
+        [
+          Alcotest.test_case "sa never beats optimal" `Slow
+            (test_sa_never_beats_optimal options);
+        ])

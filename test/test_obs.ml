@@ -347,7 +347,7 @@ let test_request_context () =
     (List.length (Obs.events ()));
   Obs.clear ()
 
-let test_request_context_crosses_portfolio () =
+let test_request_context_crosses_portfolio options () =
   (* the portfolio spawns helper domains; the explicit capture/
      re-install at the spawn site must keep deep solver telemetry
      attributed to the owning request *)
@@ -356,7 +356,7 @@ let test_request_context_crosses_portfolio () =
   let problem = Workloads.small ~seed:42 () in
   Obs.with_request "req-pf" (fun () ->
       ignore
-        (Taskalloc_core.Allocator.solve ~jobs:2 ~parallel:`Portfolio
+        (Taskalloc_core.Allocator.solve ~options ~jobs:2 ~parallel:`Portfolio
            ~fallback:false problem Taskalloc_core.Encode.Feasible));
   let workers =
     List.filter (fun ev -> ev.Obs.ev_name = "portfolio.worker")
@@ -540,8 +540,9 @@ let test_encode_family_metrics () =
   Obs.clear ();
   Obs.enable ~metrics:true ();
   let problem = Workloads.small ~seed:42 () in
-  (* eager mode explicitly: this test checks the per-family charging of
-     the full encoding, which TASKALLOC_LAZY=1 would otherwise defer *)
+  (* eager mode explicitly: the lazy encoding defers the response-time
+     families to refinement, so only the eager one charges every family
+     up front *)
   let options = { Encode.default_options with Encode.lazy_mode = false } in
   ignore (Encode.encode ~options problem Encode.Feasible);
   Alcotest.(check int) "one encode counted" 1 (Obs.Metrics.get_counter "encode.count");
@@ -738,7 +739,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_quantile_bounds;
     ("request context tags and filters", `Quick, test_request_context);
     ("request context crosses portfolio domains", `Quick,
-     test_request_context_crosses_portfolio);
+     test_request_context_crosses_portfolio Encode.default_options);
     ("flight ring: order, overwrite, dump", `Quick, test_flight_ring);
     ("flight ring keeps the null sink", `Quick, test_flight_null_sink);
     ("concurrent multi-domain emission", `Quick, test_concurrent_emission);
@@ -754,3 +755,9 @@ let suite =
     ("cumulative counters and last_solve_stats deltas", `Quick,
      test_cumulative_stats_and_deltas);
   ]
+  @ Configs.variants (fun options ->
+        [
+          ( "request context crosses portfolio domains",
+            `Quick,
+            test_request_context_crosses_portfolio options );
+        ])

@@ -8,8 +8,8 @@ module Budget = Taskalloc_sat.Budget
 
 (* Small knapsack-like problem: choose items to cover a demand while
    minimizing weight.  Items (weight, value); demand on total value. *)
-let knapsack_build items demand () =
-  let ctx = Bv.create () in
+let knapsack_build ~inprocess items demand () =
+  let ctx = Bv.create ~inprocess () in
   let picks = List.map (fun _ -> Bv.fresh_bool ctx) items in
   let value_terms =
     List.map2
@@ -46,9 +46,9 @@ let brute_force_knapsack items demand =
   done;
   !best
 
-let run_knapsack mode items demand =
+let run_knapsack ~inprocess mode items demand =
   let result, _stats =
-    minimize ~mode ~build:(knapsack_build items demand) ~on_sat:(fun _ cost -> cost) ()
+    minimize ~mode ~build:(knapsack_build ~inprocess items demand) ~on_sat:(fun _ cost -> cost) ()
   in
   match result.resolution with
   | Optimal -> Option.map fst result.incumbent
@@ -56,30 +56,30 @@ let run_knapsack mode items demand =
   | Feasible_budget_exhausted | Unknown ->
     Alcotest.fail "unbudgeted run must not stop early"
 
-let test_knapsack_both_modes () =
+let test_knapsack_both_modes ~inprocess () =
   let items = [ (5, 10); (4, 8); (6, 13); (3, 5); (8, 20) ] in
   let expected = brute_force_knapsack items 25 in
-  Alcotest.(check (option int)) "fresh" expected (run_knapsack Fresh items 25);
-  Alcotest.(check (option int)) "incremental" expected (run_knapsack Incremental items 25)
+  Alcotest.(check (option int)) "fresh" expected (run_knapsack ~inprocess Fresh items 25);
+  Alcotest.(check (option int)) "incremental" expected (run_knapsack ~inprocess Incremental items 25)
 
-let test_infeasible () =
+let test_infeasible ~inprocess () =
   let items = [ (5, 1); (4, 1) ] in
-  Alcotest.(check (option int)) "fresh none" None (run_knapsack Fresh items 10);
-  Alcotest.(check (option int)) "incr none" None (run_knapsack Incremental items 10)
+  Alcotest.(check (option int)) "fresh none" None (run_knapsack ~inprocess Fresh items 10);
+  Alcotest.(check (option int)) "incr none" None (run_knapsack ~inprocess Incremental items 10)
 
-let test_optimum_zero () =
+let test_optimum_zero ~inprocess () =
   (* demand 0 is satisfied by the empty selection: optimal weight 0 *)
   let items = [ (5, 10); (3, 4) ] in
-  Alcotest.(check (option int)) "zero fresh" (Some 0) (run_knapsack Fresh items 0);
-  Alcotest.(check (option int)) "zero incr" (Some 0) (run_knapsack Incremental items 0)
+  Alcotest.(check (option int)) "zero fresh" (Some 0) (run_knapsack ~inprocess Fresh items 0);
+  Alcotest.(check (option int)) "zero incr" (Some 0) (run_knapsack ~inprocess Incremental items 0)
 
-let test_on_sat_extraction () =
+let test_on_sat_extraction ~inprocess () =
   (* the last on_sat call must correspond to the optimum *)
   let items = [ (2, 3); (3, 4); (4, 6) ] in
   let seen = ref [] in
   let result, _ =
     minimize ~mode:Incremental
-      ~build:(knapsack_build items 7)
+      ~build:(knapsack_build ~inprocess items 7)
       ~on_sat:(fun _ cost ->
         seen := cost :: !seen;
         cost)
@@ -99,18 +99,18 @@ let test_on_sat_extraction () =
     in
     Alcotest.(check bool) "improving sequence" true (decreasing !seen)
 
-let test_stats_populated () =
+let test_stats_populated ~inprocess () =
   let items = [ (5, 10); (4, 8); (6, 13) ] in
-  let _, stats = minimize ~build:(knapsack_build items 20) ~on_sat:(fun _ c -> c) () in
+  let _, stats = minimize ~build:(knapsack_build ~inprocess items 20) ~on_sat:(fun _ c -> c) () in
   Alcotest.(check bool) "probes > 0" true (stats.probes > 0);
   Alcotest.(check bool) "vars > 0" true (stats.bool_vars > 0);
   Alcotest.(check bool) "sat+unsat=probes" true
     (stats.sat_probes + stats.unsat_probes = stats.probes);
   Alcotest.(check int) "no interruptions" 0 stats.interrupted_probes
 
-let test_solve_feasible () =
+let test_solve_feasible ~inprocess () =
   let build () =
-    let ctx = Bv.create () in
+    let ctx = Bv.create ~inprocess () in
     let x = Bv.var ctx ~hi:9 in
     Bv.assert_ ctx (Bv.ge_const ctx x 4);
     Bv.assert_ ctx (Bv.le_const ctx x 4);
@@ -120,7 +120,7 @@ let test_solve_feasible () =
   | Feasible () -> ()
   | No_solution | Undecided -> Alcotest.fail "feasible"
 
-let prop_modes_agree =
+let prop_modes_agree ~inprocess =
   QCheck.Test.make ~count:60 ~name:"Fresh and Incremental find the same optimum"
     QCheck.(
       make
@@ -131,13 +131,13 @@ let prop_modes_agree =
           return (items, demand)))
     (fun (items, demand) ->
       let expected = brute_force_knapsack items demand in
-      run_knapsack Fresh items demand = expected
-      && run_knapsack Incremental items demand = expected)
+      run_knapsack ~inprocess Fresh items demand = expected
+      && run_knapsack ~inprocess Incremental items demand = expected)
 
 (* a pigeonhole-hard core with a constant cost: the first (feasibility)
    probe cannot finish inside a tiny budget *)
-let pigeonhole_build () =
-  let ctx = Bv.create () in
+let pigeonhole_build ~inprocess () =
+  let ctx = Bv.create ~inprocess () in
   let open Taskalloc_sat in
   let s = Bv.solver ctx in
   let n = 9 in
@@ -155,23 +155,23 @@ let pigeonhole_build () =
   done;
   (ctx, Bv.const 0)
 
-let test_budget_unknown () =
+let test_budget_unknown ~inprocess () =
   (* a tiny conflict budget on a hard core yields a clean Unknown, not
      an exception *)
   let budget = Budget.create ~max_conflicts:3 ~check_every:1 () in
   let result, stats =
-    minimize ~budget ~build:pigeonhole_build ~on_sat:(fun _ c -> c) ()
+    minimize ~budget ~build:(pigeonhole_build ~inprocess) ~on_sat:(fun _ c -> c) ()
   in
   Alcotest.(check bool) "resolution unknown" true (result.resolution = Unknown);
   Alcotest.(check bool) "no incumbent" true (result.incumbent = None);
   Alcotest.(check (option (float 0.0001))) "no gap" None (gap result);
   Alcotest.(check int) "interrupted probe recorded" 1 stats.interrupted_probes
 
-let test_timeout_budget_unknown () =
+let test_timeout_budget_unknown ~inprocess () =
   (* an already-expired wall-clock deadline trips before any search *)
   let budget = Budget.create ~timeout:0. () in
   let result, _ =
-    minimize ~budget ~build:pigeonhole_build ~on_sat:(fun _ c -> c) ()
+    minimize ~budget ~build:(pigeonhole_build ~inprocess) ~on_sat:(fun _ c -> c) ()
   in
   Alcotest.(check bool) "resolution unknown" true (result.resolution = Unknown)
 
@@ -179,7 +179,7 @@ let test_timeout_budget_unknown () =
    knapsack search: every interruption point must yield a coherent
    anytime answer, and the sweep must traverse all three terminal
    resolutions for a feasible problem. *)
-let test_anytime_sweep () =
+let test_anytime_sweep ~inprocess () =
   let items = [ (5, 10); (4, 8); (6, 13); (3, 5); (8, 20) ] in
   let demand = 25 in
   let optimum =
@@ -200,7 +200,7 @@ let test_anytime_sweep () =
         ()
     in
     let result, _ =
-      minimize ~budget ~build:(knapsack_build items demand)
+      minimize ~budget ~build:(knapsack_build ~inprocess items demand)
         ~on_sat:(fun _ c -> c) ()
     in
     match result.resolution with
@@ -228,11 +228,11 @@ let test_anytime_sweep () =
   Alcotest.(check bool) "sweep saw anytime stop" true !seen_anytime;
   Alcotest.(check bool) "sweep saw Optimal" true !seen_optimal
 
-let test_gap_tolerance () =
+let test_gap_tolerance ~inprocess () =
   (* with a 100% tolerance any first incumbent is accepted immediately *)
   let items = [ (5, 10); (4, 8); (6, 13); (3, 5); (8, 20) ] in
   let result, stats =
-    minimize ~gap_tol:1.0 ~build:(knapsack_build items 25)
+    minimize ~gap_tol:1.0 ~build:(knapsack_build ~inprocess items 25)
       ~on_sat:(fun _ c -> c) ()
   in
   Alcotest.(check int) "single probe" 1 stats.probes;
@@ -246,13 +246,13 @@ let test_gap_tolerance () =
       (c >= Option.get (brute_force_knapsack items 25))
   | _ -> Alcotest.fail "incumbent and gap expected"
 
-let test_fresh_rebuilds () =
+let test_fresh_rebuilds ~inprocess () =
   (* in Fresh mode the builder runs once per probe *)
   let calls = ref 0 in
   let items = [ (5, 10); (4, 8); (6, 13) ] in
   let build () =
     incr calls;
-    knapsack_build items 20 ()
+    knapsack_build ~inprocess items 20 ()
   in
   let _, stats = minimize ~mode:Fresh ~build ~on_sat:(fun _ c -> c) () in
   Alcotest.(check int) "one build per probe" stats.probes !calls;
@@ -260,23 +260,30 @@ let test_fresh_rebuilds () =
   let calls = ref 0 in
   let build () =
     incr calls;
-    knapsack_build items 20 ()
+    knapsack_build ~inprocess items 20 ()
   in
   let _, _ = minimize ~mode:Incremental ~build ~on_sat:(fun _ c -> c) () in
   Alcotest.(check int) "single build" 1 !calls
 
-let suite =
+let cases inprocess =
   [
-    Alcotest.test_case "knapsack both modes" `Quick test_knapsack_both_modes;
-    Alcotest.test_case "infeasible" `Quick test_infeasible;
-    Alcotest.test_case "optimum zero" `Quick test_optimum_zero;
-    Alcotest.test_case "on_sat extraction" `Quick test_on_sat_extraction;
-    Alcotest.test_case "stats populated" `Quick test_stats_populated;
-    Alcotest.test_case "solve_feasible" `Quick test_solve_feasible;
-    Alcotest.test_case "budget unknown" `Quick test_budget_unknown;
-    Alcotest.test_case "timeout budget unknown" `Quick test_timeout_budget_unknown;
-    Alcotest.test_case "anytime sweep" `Quick test_anytime_sweep;
-    Alcotest.test_case "gap tolerance" `Quick test_gap_tolerance;
-    Alcotest.test_case "fresh rebuilds per probe" `Quick test_fresh_rebuilds;
-    QCheck_alcotest.to_alcotest prop_modes_agree;
+    Alcotest.test_case "knapsack both modes" `Quick
+      (test_knapsack_both_modes ~inprocess);
+    Alcotest.test_case "infeasible" `Quick (test_infeasible ~inprocess);
+    Alcotest.test_case "optimum zero" `Quick (test_optimum_zero ~inprocess);
+    Alcotest.test_case "on_sat extraction" `Quick (test_on_sat_extraction ~inprocess);
+    Alcotest.test_case "stats populated" `Quick (test_stats_populated ~inprocess);
+    Alcotest.test_case "solve_feasible" `Quick (test_solve_feasible ~inprocess);
+    Alcotest.test_case "budget unknown" `Quick (test_budget_unknown ~inprocess);
+    Alcotest.test_case "timeout budget unknown" `Quick
+      (test_timeout_budget_unknown ~inprocess);
+    Alcotest.test_case "anytime sweep" `Quick (test_anytime_sweep ~inprocess);
+    Alcotest.test_case "gap tolerance" `Quick (test_gap_tolerance ~inprocess);
+    Alcotest.test_case "fresh rebuilds per probe" `Quick
+      (test_fresh_rebuilds ~inprocess);
+    QCheck_alcotest.to_alcotest (prop_modes_agree ~inprocess);
   ]
+
+(* every case builds its solver through [Bv.create]; the second run
+   installs inprocessing on each *)
+let suite = cases false @ Configs.tagged "inprocess" (cases true)

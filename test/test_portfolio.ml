@@ -124,10 +124,10 @@ let test_parallel_proof_verifies () =
 (* minimize the number of true variables among the first [k] of a random
    3-SAT formula — probes are refutation-heavy, touching the same code
    paths the bench exercises at scale *)
-let minvars_build ~seed ~n ~k () =
+let minvars_build ~inprocess ~seed ~n ~k () =
   let cnf = Fuzz.gen_cnf ~seed ~max_vars:n in
   fun () ->
-    let ctx = Bv.create () in
+    let ctx = Bv.create ~inprocess () in
     let s = Bv.solver ctx in
     let vars = Array.init cnf.Dimacs.num_vars (fun _ -> Solver.new_var s) in
     List.iter
@@ -147,10 +147,10 @@ let minvars_build ~seed ~n ~k () =
     in
     (ctx, cost)
 
-let test_opt_portfolio_agreement () =
+let test_opt_portfolio_agreement ~inprocess () =
   let checked = ref 0 in
   for seed = 300 to 311 do
-    let build = minvars_build ~seed ~n:12 ~k:8 () in
+    let build = minvars_build ~inprocess ~seed ~n:12 ~k:8 () in
     let run jobs =
       let any, _ = Opt.minimize ~jobs ~build ~on_sat:(fun _ c -> c) () in
       any
@@ -176,10 +176,10 @@ let test_opt_portfolio_agreement () =
 (* cube-partitioned minimization finds the same optimum as sequential;
    splitting on the cost-relevant variables stresses the shared
    incumbent + bound-pruning path *)
-let test_opt_cubes_agreement () =
+let test_opt_cubes_agreement ~inprocess () =
   let checked = ref 0 in
   for seed = 500 to 509 do
-    let build = minvars_build ~seed ~n:12 ~k:8 () in
+    let build = minvars_build ~inprocess ~seed ~n:12 ~k:8 () in
     let seq, _ = Opt.minimize ~jobs:1 ~build ~on_sat:(fun _ c -> c) () in
     let cub, _ =
       Opt.minimize ~jobs:2 ~parallel:`Cubes
@@ -399,9 +399,9 @@ let suite =
     Alcotest.test_case "parallel unsat traces verify" `Slow
       test_parallel_proof_verifies;
     Alcotest.test_case "opt portfolio agrees on optimum" `Slow
-      test_opt_portfolio_agreement;
+      (test_opt_portfolio_agreement ~inprocess:false);
     Alcotest.test_case "opt cubes agree on optimum" `Slow
-      test_opt_cubes_agreement;
+      (test_opt_cubes_agreement ~inprocess:false);
     Alcotest.test_case "clause sharing flows" `Quick test_sharing_flows;
     Alcotest.test_case "cubes agree with oracle (1 and 2 domains)" `Slow
       test_cubes_agreement;
@@ -411,4 +411,10 @@ let suite =
       test_cubes_php_proof;
     Alcotest.test_case "portfolio chaos: budget vs cancel" `Slow
       test_portfolio_chaos;
+    (* the optimizer races build through [Bv.create]; once more with
+       inprocessing on every worker and every cube *)
+    Alcotest.test_case "opt portfolio agrees on optimum (inprocess)" `Slow
+      (test_opt_portfolio_agreement ~inprocess:true);
+    Alcotest.test_case "opt cubes agree on optimum (inprocess)" `Slow
+      (test_opt_cubes_agreement ~inprocess:true);
   ]

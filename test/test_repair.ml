@@ -69,9 +69,9 @@ let spread_problem ?(crits = [| 0; 0; 0 |]) ?(wcet = 20) () =
   in
   Model.make_problem ~arch:(arch 3) ~tasks
 
-let test_ecu_failure_warm () =
+let test_ecu_failure_warm options () =
   let problem = spread_problem () in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   let r = repaired (Repair.repair st (Repair.Ecu_failure { ecu = 2 })) in
   Alcotest.(check bool) "warm (assumption-only, no re-encode)" true r.warm;
   Alcotest.(check bool) "optimal" true r.optimal;
@@ -111,8 +111,7 @@ let test_ecu_failure_warm_lazy () =
      input clauses, so disabling an ECU by assumption composes with the
      solve/refine loop — and reach the same minimal repair *)
   let problem = spread_problem () in
-  let options = { Encode.default_options with Encode.lazy_mode = true } in
-  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options:Configs.lazy_ problem (placed problem [| 0; 1; 2 |]) in
   let r = repaired (Repair.repair st (Repair.Ecu_failure { ecu = 2 })) in
   Alcotest.(check bool) "warm under lazy encoding" true r.warm;
   Alcotest.(check bool) "optimal" true r.optimal;
@@ -134,8 +133,7 @@ let test_ecu_failure_warm_inprocessing () =
      must stay frozen — an eliminated selector would silently strip the
      failure from later solve calls *)
   let problem = spread_problem () in
-  let options = { Encode.default_options with Encode.inprocess = Some true } in
-  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options:Configs.inprocess problem (placed problem [| 0; 1; 2 |]) in
   let r = repaired (Repair.repair st (Repair.Ecu_failure { ecu = 2 })) in
   Alcotest.(check bool) "warm with passes active" true r.warm;
   Alcotest.(check bool) "optimal" true r.optimal;
@@ -148,9 +146,9 @@ let test_ecu_failure_warm_inprocessing () =
     Alcotest.fail "second failure must stay irreparable: both failure assumptions in force"
   | Repair.Unknown -> Alcotest.fail "unbudgeted repair cannot pause"
 
-let test_mild_overrun_zero_migrations () =
+let test_mild_overrun_zero_migrations options () =
   let problem = spread_problem () in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   let r =
     repaired (Repair.repair st (Repair.Wcet_overrun { task = 0; percent = 150 }))
   in
@@ -161,11 +159,11 @@ let test_mild_overrun_zero_migrations () =
   Alcotest.(check int) "wcet actually scaled" 30
     (Model.wcet_on (Repair.problem st).Model.tasks.(0) 0)
 
-let test_fatal_overrun_irreparable () =
+let test_fatal_overrun_irreparable options () =
   (* 600% of 20 = 120 > deadline 50 on every ECU: the task is doomed,
      and at uniform criticality it may not be shed *)
   let problem = spread_problem () in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   match Repair.repair st (Repair.Wcet_overrun { task = 0; percent = 600 }) with
   | Repair.Irreparable { why; _ } ->
     Alcotest.(check bool) "why is reported" true (String.length why > 0);
@@ -173,7 +171,7 @@ let test_fatal_overrun_irreparable () =
       (Array.length (Repair.problem st).Model.tasks)
   | _ -> Alcotest.fail "doomed HI task must be irreparable"
 
-let test_ladder_sheds_lo_keeps_hi () =
+let test_ladder_sheds_lo_keeps_hi options () =
   (* heavy tasks: only one fits per ECU.  After losing an ECU the LO
      task is shed and both HI tasks keep running. *)
   let tasks =
@@ -184,7 +182,7 @@ let test_ladder_sheds_lo_keeps_hi () =
     ]
   in
   let problem = Model.make_problem ~arch:(arch 3) ~tasks in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   let r = repaired (Repair.repair st (Repair.Ecu_failure { ecu = 2 })) in
   Alcotest.(check bool) "degraded" true r.degraded;
   Alcotest.(check int) "one shed" 1 (List.length r.sheds);
@@ -201,9 +199,9 @@ let test_ladder_sheds_lo_keeps_hi () =
     (Repair.find_task st "lo");
   Alcotest.(check int) "sim clean after degradation" 0 r.sim_misses
 
-let test_no_shed_makes_it_irreparable () =
+let test_no_shed_makes_it_irreparable options () =
   let problem = spread_problem ~crits:[| 1; 1; 0 |] ~wcet:40 () in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   match
     Repair.repair ~allow_shed:false st (Repair.Ecu_failure { ecu = 2 })
   with
@@ -212,7 +210,7 @@ let test_no_shed_makes_it_irreparable () =
       (Array.length (Repair.problem st).Model.tasks)
   | _ -> Alcotest.fail "without shedding this failure is irreparable"
 
-let test_doomed_lo_sheds_itself () =
+let test_doomed_lo_sheds_itself options () =
   (* the LO task can only run on the ECU that fails: it is doomed and
      sheds itself; the HI tasks never move *)
   let tasks =
@@ -223,7 +221,7 @@ let test_doomed_lo_sheds_itself () =
     ]
   in
   let problem = Model.make_problem ~arch:(arch 3) ~tasks in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   let r = repaired (Repair.repair st (Repair.Ecu_failure { ecu = 2 })) in
   Alcotest.(check bool) "doomed tasks force the cold path" false r.warm;
   Alcotest.(check bool) "degraded" true r.degraded;
@@ -234,9 +232,9 @@ let test_doomed_lo_sheds_itself () =
   Alcotest.(check int) "two survivors" 2
     (Array.length (Repair.problem st).Model.tasks)
 
-let test_arrival_places_without_migration () =
+let test_arrival_places_without_migration options () =
   let problem = spread_problem () in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   let r =
     repaired
       (Repair.repair st
@@ -273,7 +271,7 @@ let test_arrival_places_without_migration () =
                 wcets = everywhere 3 20;
               })))
 
-let test_bus_degradation_colocates () =
+let test_bus_degradation_colocates options () =
   (* a producer pinned to ECU 0 streams to a consumer on ECU 1.  A
      20x slower bus pushes the frame past the message deadline, so the
      only repair is to co-locate the consumer: one voluntary migration,
@@ -286,7 +284,7 @@ let test_bus_degradation_colocates () =
     ]
   in
   let problem = Model.make_problem ~arch:(arch 2) ~tasks in
-  let st = Repair.create problem (placed problem [| 0; 1 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1 |]) in
   let r =
     repaired
       (Repair.repair ~explain:true st
@@ -302,12 +300,12 @@ let test_bus_degradation_colocates () =
     (m.Repair.m_because <> []);
   Alcotest.(check int) "sim clean" 0 r.sim_misses
 
-let test_budget_trip_leaves_state_intact () =
+let test_budget_trip_leaves_state_intact options () =
   (* a budget that trips at the very first poll: the repair must come
      back Unknown (or finish before ever polling) with the
      pre-disruption state bit-identical *)
   let problem = spread_problem ~crits:[| 1; 1; 0 |] ~wcet:40 () in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   let before = Array.copy (Repair.allocation st).Model.task_ecu in
   let budget =
     Budget.create ~check_every:1 ~should_stop:(fun () -> true) ()
@@ -328,11 +326,11 @@ let test_budget_trip_leaves_state_intact () =
   Alcotest.(check bool) "subsequent unbudgeted repair degrades" true
     r.degraded
 
-let test_multi_event_consistency () =
+let test_multi_event_consistency options () =
   (* overrun -> failure -> arrival on one session; after every repair
      the in-force allocation must satisfy the independent analyzer *)
   let problem = spread_problem () in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   let events =
     [
       Repair.Wcet_overrun { task = 1; percent = 120 };
@@ -362,7 +360,7 @@ let test_multi_event_consistency () =
   Alcotest.(check int) "all four tasks alive at the end" 4
     (Array.length (Repair.problem st).Model.tasks)
 
-let test_scenario_parsing () =
+let test_scenario_parsing options () =
   let s =
     Scenario.parse_string
       "# a scenario\n\
@@ -385,7 +383,7 @@ let test_scenario_parsing () =
   | _ -> Alcotest.fail "expected an arrival");
   (* resolution against a live state, and name errors *)
   let problem = spread_problem () in
-  let st = Repair.create problem (placed problem [| 0; 1; 2 |]) in
+  let st = Repair.create ~options problem (placed problem [| 0; 1; 2 |]) in
   (match Scenario.resolve st (Scenario.Wcet ("t1", 130)) with
   | Repair.Wcet_overrun { task = 1; percent = 130 } -> ()
   | _ -> Alcotest.fail "wcet resolution");
@@ -471,10 +469,10 @@ let build_oracle_case (n_ecus, _n_tasks, wcets, raw_dls, crits, _, _, _) =
   in
   Model.make_problem ~arch:(arch n_ecus) ~tasks
 
-let prop_repair_matches_oracle case =
+let prop_repair_matches_oracle options case =
   let (n_ecus, n_tasks, _, _, _, fail, which, percent) = case in
   let problem = build_oracle_case case in
-  match Allocator.find_feasible ~fallback:false problem with
+  match Allocator.find_feasible ~options ~fallback:false problem with
   | Allocator.Solved res ->
     let event =
       if fail then Repair.Ecu_failure { ecu = which mod n_ecus }
@@ -484,7 +482,7 @@ let prop_repair_matches_oracle case =
       oracle_min_migrations res.Allocator.allocation
         (Repair.apply_event problem event)
     in
-    let st = Repair.create problem res.Allocator.allocation in
+    let st = Repair.create ~options problem res.Allocator.allocation in
     (match Repair.repair ~allow_shed:false st event with
     | Repair.Repaired r ->
       (match oracle with
@@ -508,7 +506,7 @@ let prop_repair_matches_oracle case =
   | Allocator.Infeasible -> QCheck.assume_fail ()
   | Allocator.Unknown -> QCheck.assume_fail ()
 
-let oracle_test =
+let oracle_test options =
   QCheck.Test.make ~count:40 ~name:"repair matches brute-force oracle"
     (QCheck.make ~print:(fun case ->
          Fmt.str "%a; event %s"
@@ -522,35 +520,42 @@ let oracle_test =
             if fail then Printf.sprintf "fail-ecu %d" (which mod n_ecus)
             else Printf.sprintf "wcet t%d %d%%" (which mod n_tasks) percent))
        gen_oracle_case)
-    prop_repair_matches_oracle
+    (prop_repair_matches_oracle options)
 
-let suite =
+(* every case that opens a session on the default encoder configuration *)
+let cases options =
   [
     Alcotest.test_case "ECU failure: warm minimal repair" `Quick
-      test_ecu_failure_warm;
-    Alcotest.test_case "ECU failure: warm repair over lazy encoding" `Quick
-      test_ecu_failure_warm_lazy;
-    Alcotest.test_case "ECU failure: warm repair with inprocessing" `Quick
-      test_ecu_failure_warm_inprocessing;
+      (test_ecu_failure_warm options);
     Alcotest.test_case "mild overrun: zero migrations" `Quick
-      test_mild_overrun_zero_migrations;
+      (test_mild_overrun_zero_migrations options);
     Alcotest.test_case "fatal overrun: irreparable at uniform criticality"
-      `Quick test_fatal_overrun_irreparable;
+      `Quick (test_fatal_overrun_irreparable options);
     Alcotest.test_case "ladder sheds LO, keeps HI" `Quick
-      test_ladder_sheds_lo_keeps_hi;
+      (test_ladder_sheds_lo_keeps_hi options);
     Alcotest.test_case "allow_shed:false disables the ladder" `Quick
-      test_no_shed_makes_it_irreparable;
+      (test_no_shed_makes_it_irreparable options);
     Alcotest.test_case "doomed LO task sheds itself" `Quick
-      test_doomed_lo_sheds_itself;
+      (test_doomed_lo_sheds_itself options);
     Alcotest.test_case "arrival places without migration" `Quick
-      test_arrival_places_without_migration;
+      (test_arrival_places_without_migration options);
     Alcotest.test_case "bus degradation co-locates, with attribution" `Quick
-      test_bus_degradation_colocates;
+      (test_bus_degradation_colocates options);
     Alcotest.test_case "tripped budget leaves state intact" `Quick
-      test_budget_trip_leaves_state_intact;
+      (test_budget_trip_leaves_state_intact options);
     Alcotest.test_case "multi-event session stays consistent" `Quick
-      test_multi_event_consistency;
+      (test_multi_event_consistency options);
     Alcotest.test_case "scenario files parse and resolve" `Quick
-      test_scenario_parsing;
-    QCheck_alcotest.to_alcotest oracle_test;
+      (test_scenario_parsing options);
+    QCheck_alcotest.to_alcotest (oracle_test options);
   ]
+
+let suite =
+  cases Encode.default_options
+  @ [
+      Alcotest.test_case "ECU failure: warm repair over lazy encoding" `Quick
+        test_ecu_failure_warm_lazy;
+      Alcotest.test_case "ECU failure: warm repair with inprocessing" `Quick
+        test_ecu_failure_warm_inprocessing;
+    ]
+  @ Configs.variants cases

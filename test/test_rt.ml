@@ -420,12 +420,12 @@ let test_sim_multi_hop () =
 
 (* property: the simulator never observes more than the analysis
    predicts, on SAT-optimal allocations of generated instances *)
-let prop_sim_within_analysis =
+let prop_sim_within_analysis options =
   QCheck.Test.make ~count:6 ~name:"simulation within analytical bounds"
     QCheck.(make Gen.(int_range 1 1000))
     (fun seed ->
       let problem = Taskalloc_workloads.Workloads.small ~seed ~n_ecus:2 ~n_tasks:4 () in
-      match Taskalloc_core.Allocator.solve problem Taskalloc_core.Encode.Feasible with
+      match Taskalloc_core.Allocator.solve ~options problem Taskalloc_core.Encode.Feasible with
       | Taskalloc_core.Allocator.Infeasible | Taskalloc_core.Allocator.Unknown ->
         true (* nothing to simulate *)
       | Taskalloc_core.Allocator.Solved r ->
@@ -537,12 +537,12 @@ let test_sim_gateway_service_delay () =
 
 (* property: phased (offset) releases never exceed the critical-instant
    analysis either *)
-let prop_sim_phases_within_bounds =
+let prop_sim_phases_within_bounds options =
   QCheck.Test.make ~count:6 ~name:"phased simulations within analytical bounds"
     QCheck.(make Gen.(int_range 1 1000))
     (fun seed ->
       let problem = Taskalloc_workloads.Workloads.small ~seed ~n_ecus:2 ~n_tasks:4 () in
-      match Taskalloc_core.Allocator.solve problem Taskalloc_core.Encode.Feasible with
+      match Taskalloc_core.Allocator.solve ~options problem Taskalloc_core.Encode.Feasible with
       | Taskalloc_core.Allocator.Infeasible | Taskalloc_core.Allocator.Unknown ->
         true
       | Taskalloc_core.Allocator.Solved r ->
@@ -813,8 +813,9 @@ let suite =
     Alcotest.test_case "sim overload detected" `Quick test_sim_detects_overload;
     Alcotest.test_case "sim message delivery" `Quick test_sim_message_delivery;
     Alcotest.test_case "sim multi hop" `Quick test_sim_multi_hop;
-    QCheck_alcotest.to_alcotest prop_sim_within_analysis;
-    QCheck_alcotest.to_alcotest prop_sim_phases_within_bounds;
+    QCheck_alcotest.to_alcotest (prop_sim_within_analysis Taskalloc_core.Encode.default_options);
+    QCheck_alcotest.to_alcotest 
+      (prop_sim_phases_within_bounds Taskalloc_core.Encode.default_options);
     Alcotest.test_case "sim can arbitration" `Quick test_sim_can_arbitration;
     Alcotest.test_case "sim slot overrun detected" `Quick test_sim_slot_overrun_detected;
     Alcotest.test_case "sim gateway service delay" `Quick test_sim_gateway_service_delay;
@@ -831,3 +832,8 @@ let suite =
     Alcotest.test_case "bus rta scaling metamorphic" `Quick test_bus_rta_scaling_metamorphic;
     Alcotest.test_case "check scaling metamorphic" `Quick test_check_scaling_metamorphic;
   ]
+  @ Configs.variants (fun options ->
+        [
+          QCheck_alcotest.to_alcotest (prop_sim_within_analysis options);
+          QCheck_alcotest.to_alcotest (prop_sim_phases_within_bounds options);
+        ])

@@ -19,8 +19,9 @@ let next_sock = Atomic.make 0
 (* [with_server_t] also hands the callback the [Server.t] itself, for
    the tests that poke [prometheus_text] / [prometheus_port]
    directly. *)
-let with_server_t ?(workers = 2) ?(max_sessions = 64) ?(queue_depth = 128)
-    ?(prometheus = None) ?(flight = None) f =
+let with_server_t ?(options = Taskalloc_core.Encode.default_options) ?(workers = 2)
+    ?(max_sessions = 64) ?(queue_depth = 128) ?(prometheus = None) ?(flight = None)
+    f =
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -31,6 +32,7 @@ let with_server_t ?(workers = 2) ?(max_sessions = 64) ?(queue_depth = 128)
     {
       Server.default_config with
       Server.listen = `Unix sock;
+      options;
       workers;
       max_sessions;
       queue_depth;
@@ -47,8 +49,8 @@ let with_server_t ?(workers = 2) ?(max_sessions = 64) ?(queue_depth = 128)
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock))
     (fun () -> f (`Unix sock) t)
 
-let with_server ?workers ?max_sessions ?queue_depth f =
-  with_server_t ?workers ?max_sessions ?queue_depth (fun listen _t -> f listen)
+let with_server ?options ?workers ?max_sessions ?queue_depth f =
+  with_server_t ?options ?workers ?max_sessions ?queue_depth (fun listen _t -> f listen)
 
 let req c fields = Client.request c (Json.Obj fields)
 
@@ -102,8 +104,8 @@ let inline_problem =
 
 (* -- basic protocol ----------------------------------------------------- *)
 
-let test_roundtrip () =
-  with_server (fun listen ->
+let test_roundtrip options () =
+  with_server ~options (fun listen ->
       let c = Client.connect listen in
       let pong = req c [ ("kind", Json.Str "ping"); ("id", Json.Int 7) ] in
       check_ok "ping" pong;
@@ -136,8 +138,8 @@ let test_roundtrip () =
       check_ok "close" closed;
       Client.close c)
 
-let test_inline_problem_and_cache () =
-  with_server (fun listen ->
+let test_inline_problem_and_cache options () =
+  with_server ~options (fun listen ->
       let c = Client.connect listen in
       let open_inline () =
         req c [ ("kind", Json.Str "open"); ("problem", Json.Str inline_problem) ]
@@ -243,8 +245,8 @@ let test_bad_deltas_and_event () =
 
 (* -- admission control --------------------------------------------------- *)
 
-let test_zero_budget_returns_unknown () =
-  with_server (fun listen ->
+let test_zero_budget_returns_unknown options () =
+  with_server ~options (fun listen ->
       let c = Client.connect listen in
       let sid, _ = open_session c in
       (* zero conflict budget and no fallback: must come back immediately
@@ -264,8 +266,8 @@ let test_zero_budget_returns_unknown () =
         (str_field "solve" r "outcome");
       Client.close c)
 
-let test_starved_deadline_non_optimal () =
-  with_server (fun listen ->
+let test_starved_deadline_non_optimal options () =
+  with_server ~options (fun listen ->
       let c = Client.connect listen in
       let sid, _ = open_session ~workload:"tasks12" c in
       (* a starved conflict budget forces the anytime path: the answer
@@ -294,8 +296,8 @@ let test_starved_deadline_non_optimal () =
 
 (* -- session lifecycle --------------------------------------------------- *)
 
-let test_lru_eviction () =
-  with_server ~max_sessions:2 (fun listen ->
+let test_lru_eviction options () =
+  with_server ~options ~max_sessions:2 (fun listen ->
       let c = Client.connect listen in
       let s1, _ = open_session ~seed:1 c in
       let s2, _ = open_session ~seed:2 c in
@@ -331,8 +333,8 @@ let test_lru_eviction () =
       ignore s3;
       Client.close c)
 
-let test_repair_then_whatif () =
-  with_server (fun listen ->
+let test_repair_then_whatif options () =
+  with_server ~options (fun listen ->
       let c = Client.connect listen in
       let sid, _ = open_session ~workload:"tindell43" c in
       let r =
@@ -361,8 +363,8 @@ let test_repair_then_whatif () =
 
 (* -- concurrency --------------------------------------------------------- *)
 
-let test_concurrent_distinct_sessions () =
-  with_server ~workers:4 (fun listen ->
+let test_concurrent_distinct_sessions options () =
+  with_server ~options ~workers:4 (fun listen ->
       let n_clients = 4 and per_client = 6 in
       let hammer k =
         let c = Client.connect listen in
@@ -463,8 +465,8 @@ let drain_watch c rid =
   in
   loop []
 
-let test_watch_stream () =
-  with_server ~workers:2 (fun listen ->
+let test_watch_stream options () =
+  with_server ~options ~workers:2 (fun listen ->
       let c1 = Client.connect listen in
       let sid, _ = open_session ~workload:"tasks30" c1 in
       (* launch the solve without waiting for its answer, then watch it
@@ -514,8 +516,8 @@ let test_watch_stream () =
       Client.close c2;
       Client.close c1)
 
-let test_cancel () =
-  with_server ~workers:2 (fun listen ->
+let test_cancel options () =
+  with_server ~options ~workers:2 (fun listen ->
       let c1 = Client.connect listen in
       let sid, _ = open_session ~workload:"tasks30" c1 in
       let t0 = Unix.gettimeofday () in
@@ -727,7 +729,7 @@ let test_prometheus () =
 
 (* -- per-request trace grouping ------------------------------------------ *)
 
-let test_trace_grouping () =
+let test_trace_grouping options () =
   Obs.clear ();
   Obs.enable ~tracing:true ~metrics:true ();
   Fun.protect
@@ -735,7 +737,7 @@ let test_trace_grouping () =
       Obs.disable ();
       Obs.clear ())
     (fun () ->
-      with_server ~workers:4 (fun listen ->
+      with_server ~options ~workers:4 (fun listen ->
           let solve k =
             let c = Client.connect listen in
             let sid, _ = open_session ~seed:(200 + k) c in
@@ -814,29 +816,56 @@ let test_json_surrogates () =
 
 let suite =
   [
-    Alcotest.test_case "protocol round-trip" `Quick test_roundtrip;
+    Alcotest.test_case "protocol round-trip" `Quick (test_roundtrip Taskalloc_core.Encode.default_options);
     Alcotest.test_case "inline problem + encode cache" `Quick
-      test_inline_problem_and_cache;
+      (test_inline_problem_and_cache Taskalloc_core.Encode.default_options);
     Alcotest.test_case "malformed JSON" `Quick test_malformed_json;
     Alcotest.test_case "unknown kind" `Quick test_unknown_kind;
     Alcotest.test_case "bad open" `Quick test_bad_open;
     Alcotest.test_case "closed/evicted session errors" `Quick test_closed_session;
     Alcotest.test_case "bad deltas and events" `Quick test_bad_deltas_and_event;
     Alcotest.test_case "zero budget returns unknown" `Quick
-      test_zero_budget_returns_unknown;
+      (test_zero_budget_returns_unknown Taskalloc_core.Encode.default_options);
     Alcotest.test_case "starved deadline: non-optimal provenance" `Slow
-      test_starved_deadline_non_optimal;
-    Alcotest.test_case "LRU idle-session eviction" `Quick test_lru_eviction;
+      (test_starved_deadline_non_optimal Taskalloc_core.Encode.default_options);
+    Alcotest.test_case "LRU idle-session eviction" `Quick (test_lru_eviction Taskalloc_core.Encode.default_options);
     Alcotest.test_case "repair diverges session from cache" `Slow
-      test_repair_then_whatif;
+      (test_repair_then_whatif Taskalloc_core.Encode.default_options);
     Alcotest.test_case "concurrent clients, distinct sessions" `Slow
-      test_concurrent_distinct_sessions;
+      (test_concurrent_distinct_sessions Taskalloc_core.Encode.default_options);
     Alcotest.test_case "request id echo and reuse" `Quick test_request_id_echo;
-    Alcotest.test_case "watch streams live progress" `Slow test_watch_stream;
-    Alcotest.test_case "cancel interrupts an in-flight solve" `Slow test_cancel;
+    Alcotest.test_case "watch streams live progress" `Slow (test_watch_stream Taskalloc_core.Encode.default_options);
+    Alcotest.test_case "cancel interrupts an in-flight solve" `Slow (test_cancel Taskalloc_core.Encode.default_options);
     Alcotest.test_case "dump returns the flight ring" `Quick test_dump_verb;
     Alcotest.test_case "prometheus exposition + scrape" `Quick test_prometheus;
-    Alcotest.test_case "per-request trace grouping" `Slow test_trace_grouping;
+    Alcotest.test_case "per-request trace grouping" `Slow (test_trace_grouping Taskalloc_core.Encode.default_options);
     Alcotest.test_case "JSON surrogate pairs and round-trips" `Quick
       test_json_surrogates;
   ]
+  (* every case that solves through a session, on the lazy and the
+     inprocessing configuration; one tindell43 repair on the eager
+     encoding runs for a minute, so the repair case runs lazy only *)
+  @ Configs.variants (fun options ->
+        [
+          Alcotest.test_case "protocol round-trip" `Quick (test_roundtrip options);
+          Alcotest.test_case "inline problem + encode cache" `Quick
+            (test_inline_problem_and_cache options);
+          Alcotest.test_case "zero budget returns unknown" `Quick
+            (test_zero_budget_returns_unknown options);
+          Alcotest.test_case "starved deadline: non-optimal provenance" `Slow
+            (test_starved_deadline_non_optimal options);
+          Alcotest.test_case "LRU idle-session eviction" `Quick
+            (test_lru_eviction options);
+          Alcotest.test_case "concurrent clients, distinct sessions" `Slow
+            (test_concurrent_distinct_sessions options);
+          Alcotest.test_case "watch streams live progress" `Slow
+            (test_watch_stream options);
+          Alcotest.test_case "cancel interrupts an in-flight solve" `Slow
+            (test_cancel options);
+          Alcotest.test_case "per-request trace grouping" `Slow
+            (test_trace_grouping options);
+        ])
+  @ [
+      Alcotest.test_case "repair diverges session from cache (lazy)" `Slow
+        (test_repair_then_whatif Configs.lazy_);
+    ]

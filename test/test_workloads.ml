@@ -41,7 +41,7 @@ let test_determinism () =
   let p3 = Workloads.small ~seed:12 () in
   Alcotest.(check bool) "different seed differs" true (p1.Model.tasks <> p3.Model.tasks)
 
-let test_witness_feasibility () =
+let test_witness_feasibility options () =
   (* generation guarantees a feasible witness exists: greedy or brute
      force must find one *)
   List.iter
@@ -54,7 +54,7 @@ let test_witness_feasibility () =
       | None ->
         (* greedy can diverge from the generator's witness; fall back to
            the SAT allocator as the feasibility oracle *)
-        (match Taskalloc_core.Allocator.find_feasible problem with
+        (match Taskalloc_core.Allocator.find_feasible ~options problem with
         | Taskalloc_core.Allocator.Solved r ->
           Alcotest.(check (list string)) "sat witness ok" []
             (List.map (Fmt.str "%a" Check.pp_violation) r.violations)
@@ -176,7 +176,8 @@ let suite =
     Alcotest.test_case "chain split" `Quick test_chain_split;
     Alcotest.test_case "tindell43 dimensions" `Quick test_tindell43_dimensions;
     Alcotest.test_case "determinism" `Quick test_determinism;
-    Alcotest.test_case "witness feasibility" `Slow test_witness_feasibility;
+    Alcotest.test_case "witness feasibility" `Slow
+      (test_witness_feasibility Taskalloc_core.Encode.default_options);
     Alcotest.test_case "task scaling sizes" `Quick test_task_scaling_sizes;
     Alcotest.test_case "arch scaling sizes" `Quick test_arch_scaling_sizes;
     Alcotest.test_case "hierarchical architectures" `Quick test_hierarchical_architectures;
@@ -189,3 +190,8 @@ let suite =
     Alcotest.test_case "memory capacities" `Quick test_memory_capacities_finite;
     Alcotest.test_case "message endpoints" `Quick test_message_endpoints_within_chains;
   ]
+  @ Configs.variants (fun options ->
+        [
+          Alcotest.test_case "witness feasibility" `Slow
+            (test_witness_feasibility options);
+        ])
