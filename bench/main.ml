@@ -6,16 +6,20 @@
      dune exec bench/main.exe                 -- everything (full scale)
      dune exec bench/main.exe -- quick        -- reduced instances
      dune exec bench/main.exe -- table1       -- a single experiment
-     (experiments: table1 table2 table3 table4 fig1
+     (experiments: fig1 table1 table2 table3 table4
                    ablation-incremental ablation-encoding ablation-pb
-                   anytime portfolio explain repair cegar daemon micro)
+                   cegar obs portfolio)
 
    Paper numbers are printed next to ours.  Absolute values differ —
    the workload is a synthetic stand-in for [5]'s task set (DESIGN.md
    §3) and the machine is four orders of magnitude newer — but the
    shapes the paper reports are checked: the SAT optimum dominates
    simulated annealing, formula size grows with both task count and
-   architecture size, and hierarchical routing costs more than flat. *)
+   architecture size, and hierarchical routing costs more than flat.
+
+   Every check prints one verdict line; a violated one makes the run
+   exit 1 after the selected experiments finish.  Output goes to
+   stdout only. *)
 
 open Taskalloc_rt
 open Taskalloc_core
@@ -26,6 +30,24 @@ module Obs = Taskalloc_obs.Obs
 
 let section title =
   Fmt.pr "@.=== %s ===@." title
+
+(* names of the checks that failed so far; the driver exits non-zero
+   when any did *)
+let violated = ref []
+
+(* Print the verdict line of one check of experiment [name] and
+   remember a violation.  [tag] starts the line: CI greps for it. *)
+let verdict tag name ok fmt =
+  Fmt.kstr
+    (fun msg ->
+      if ok then Fmt.pr "  %s: %s  OK@." tag msg
+      else begin
+        Fmt.pr "  %s: VIOLATED: %s@." tag msg;
+        violated := name :: !violated
+      end)
+    fmt
+
+let check name ok fmt = verdict "shape check" name ok fmt
 
 (* Reproducible random 3-SAT from a fixed xorshift stream — the
    refutation-heavy workload shared by the portfolio and observability
@@ -101,11 +123,10 @@ let table1 ~quick () =
     r.Allocator.cost pp_time dt (r.bool_vars / 1000) (r.literals / 1000)
     r.stats.Taskalloc_opt.Opt.probes;
   (match sa with
-  | Some (_, v) when r.Allocator.cost <= v ->
-    Fmt.pr "  shape check:   optimal <= SA (paper: 8.55 <= 8.7)  OK@."
   | Some (_, v) ->
-    Fmt.pr "  shape check:   VIOLATED: optimal %d > SA %d@." r.Allocator.cost v
-  | None -> Fmt.pr "  shape check:   SA failed; optimal stands alone@.");
+    check "table1" (r.Allocator.cost <= v)
+      "optimal %d <= SA %d (paper: 8.55 <= 8.7)" r.Allocator.cost v
+  | None -> Fmt.pr "  shape check: SA failed; optimal stands alone@.");
   (* CAN variant: minimize bus load *)
   let problem_can =
     if quick then
@@ -129,6 +150,33 @@ let table1 ~quick () =
   sim_check "ring" problem r;
   sim_check "can" problem_can rc
 
+(* ---- Tables 2 and 3: formula size vs instance size --------------------- *)
+
+(* One row per size: solve, print time, formula size and optimum, then
+   check that variables and literals both grow strictly from row to
+   row, as in the paper. *)
+let size_rows name what sizes solve =
+  let rows =
+    List.map
+      (fun n ->
+        let r, dt = solve n in
+        Fmt.pr "  %-6d %-10s %-10s %-10s %-8d@." n (Fmt.str "%a" pp_time dt)
+          (Printf.sprintf "%dk" (r.Allocator.bool_vars / 1000))
+          (Printf.sprintf "%dk" (r.literals / 1000))
+          r.cost;
+        (r.Allocator.bool_vars, r.literals))
+      sizes
+  in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  let pp_ints = Fmt.(list ~sep:(any ", ") int) in
+  check name
+    (increasing (List.map fst rows) && increasing (List.map snd rows))
+    "formula size grows with %s: vars %a, lits %a" what pp_ints
+    (List.map fst rows) pp_ints (List.map snd rows)
+
 (* ---- Table 2: architecture scaling ------------------------------------ *)
 
 let table2 ~quick () =
@@ -139,19 +187,8 @@ let table2 ~quick () =
   Fmt.pr "paper:  lits   602k  814k  911k  979k  1117k 1304k@.@.";
   let sizes = if quick then [ 8; 16 ] else [ 8; 16; 25; 32; 45; 64 ] in
   Fmt.pr "  %-6s %-10s %-10s %-10s %-8s@." "ECUs" "time" "vars" "lits" "TRT";
-  let prev_vars = ref 0 in
-  List.iter
-    (fun n_ecus ->
-      let problem = Workloads.arch_scaling ~n_ecus () in
-      let r, dt = solve_or_fail "table2" problem (Encode.Min_trt 0) in
-      Fmt.pr "  %-6d %-10s %-10s %-10s %-8d%s@." n_ecus (Fmt.str "%a" pp_time dt)
-        (Printf.sprintf "%dk" (r.Allocator.bool_vars / 1000))
-        (Printf.sprintf "%dk" (r.literals / 1000))
-        r.cost
-        (if r.bool_vars >= !prev_vars then "" else "  (! size not monotone)");
-      prev_vars := r.bool_vars)
-    sizes;
-  Fmt.pr "  shape check: formula size grows with ECU count (as in the paper)@."
+  size_rows "table2" "ECU count" sizes (fun n_ecus ->
+      solve_or_fail "table2" (Workloads.arch_scaling ~n_ecus ()) (Encode.Min_trt 0))
 
 (* ---- Table 3: task-set scaling ---------------------------------------- *)
 
@@ -163,21 +200,11 @@ let table3 ~quick () =
   Fmt.pr "paper:  lits   22k    74k    191k   492k  995k@.@.";
   let sizes = if quick then [ 7; 12; 20 ] else [ 7; 12; 20; 30; 43 ] in
   Fmt.pr "  %-6s %-10s %-10s %-10s %-8s@." "tasks" "time" "vars" "lits" "TRT";
-  let prev_vars = ref 0 in
-  List.iter
-    (fun n ->
+  size_rows "table3" "task count" sizes (fun n ->
       let problem =
         if n = 43 then Workloads.tindell43 () else Workloads.task_scaling ~n ()
       in
-      let r, dt = solve_or_fail "table3" problem (Encode.Min_trt 0) in
-      Fmt.pr "  %-6d %-10s %-10s %-10s %-8d%s@." n (Fmt.str "%a" pp_time dt)
-        (Printf.sprintf "%dk" (r.Allocator.bool_vars / 1000))
-        (Printf.sprintf "%dk" (r.literals / 1000))
-        r.cost
-        (if r.bool_vars >= !prev_vars then "" else "  (! size not monotone)");
-      prev_vars := r.bool_vars)
-    sizes;
-  Fmt.pr "  shape check: formula size grows superlinearly with tasks (as in the paper)@."
+      solve_or_fail "table3" problem (Encode.Min_trt 0))
 
 (* ---- Table 4: hierarchical architectures ------------------------------- *)
 
@@ -202,12 +229,12 @@ let table4 ~quick () =
   let rc = run "architecture C" (Workloads.hierarchical ~n_tasks Workloads.C) in
   let rcan = run "C + CAN upper" (Workloads.hierarchical_c_can ~n_tasks ()) in
   ignore rcan;
-  (* shape checks in the spirit of the paper's discussion *)
-  if ra.Allocator.cost >= rc.Allocator.cost then
-    Fmt.pr "  shape check: dedicated-gateway A costs at least as much as C  OK@."
-  else
-    Fmt.pr "  shape note: A (%d) < C (%d) on this synthetic set@." ra.Allocator.cost
-      rc.Allocator.cost
+  (* a note, not a check: the paper's A >= C need not hold on the
+     synthetic task set *)
+  Fmt.pr "  shape note: A (%d) %s C (%d); the paper's dedicated gateway costs more@."
+    ra.Allocator.cost
+    (if ra.Allocator.cost >= rc.Allocator.cost then ">=" else "<")
+    rc.Allocator.cost
 
 (* ---- Fig. 1: path closures ---------------------------------------------- *)
 
@@ -307,99 +334,6 @@ let ablation_pb ~quick () =
   let b = run { Encode.default_options with pb_mode = Taskalloc_pb.Pb.Cnf } "cnf" in
   if a <> b then Fmt.failwith "ablation-pb: PB modes disagree"
 
-(* ---- anytime profile: solution quality vs wall-clock budget --------------- *)
-
-(* For each workload, sweep a ladder of wall-clock budgets and record
-   what the degradation chain delivers: the resolution rung, cost,
-   optimality gap and time actually spent.  Results go to the console
-   and to [bench_anytime.json] for downstream plotting. *)
-let anytime ~quick () =
-  section "Anytime profile: resolution and gap vs wall-clock budget";
-  let budgets =
-    if quick then [ 0.001; 0.01; 0.1; infinity ]
-    else [ 0.001; 0.005; 0.02; 0.1; 0.5; 2.0; infinity ]
-  in
-  let workloads =
-    if quick then
-      [
-        ("tasks12", Workloads.task_scaling ~n:12 (), Encode.Min_trt 0);
-        ("small-hier", Workloads.small_hierarchical ~seed:7 ~n_tasks:6 Workloads.C,
-         Encode.Min_sum_trt);
-      ]
-    else
-      [
-        ("tasks20", Workloads.task_scaling ~n:20 (), Encode.Min_trt 0);
-        ("tasks30", Workloads.task_scaling ~n:30 (), Encode.Min_trt 0);
-        ("ecus16", Workloads.arch_scaling ~n_ecus:16 (), Encode.Min_trt 0);
-        ("small-hier", Workloads.small_hierarchical ~seed:7 ~n_tasks:6 Workloads.C,
-         Encode.Min_sum_trt);
-      ]
-  in
-  let rows = ref [] in
-  Fmt.pr "  %-12s %-9s %-26s %-8s %-8s %-8s@." "workload" "budget" "resolution"
-    "cost" "gap" "time";
-  List.iter
-    (fun (name, problem, objective) ->
-      List.iter
-        (fun budget_s ->
-          let budget =
-            if budget_s = infinity then None
-            else Some (Allocator.Budget.create ~timeout:budget_s ())
-          in
-          let outcome, dt =
-            time (fun () -> Allocator.solve ?budget problem objective)
-          in
-          let resolution, cost, gap =
-            match outcome with
-            | Allocator.Solved r ->
-              if r.Allocator.violations <> [] then
-                Fmt.failwith "anytime %s: allocation failed validation" name;
-              let tag =
-                match r.Allocator.quality with
-                | Allocator.Optimal -> "optimal"
-                | Allocator.Anytime _ -> "anytime"
-                | Allocator.Heuristic h -> "heuristic:" ^ h
-              in
-              (tag, Some r.Allocator.cost, Allocator.gap r)
-            | Allocator.Infeasible -> ("infeasible", None, None)
-            | Allocator.Unknown -> ("unknown", None, None)
-          in
-          let pp_budget ppf s =
-            if s = infinity then Fmt.string ppf "inf" else Fmt.pf ppf "%gs" s
-          in
-          Fmt.pr "  %-12s %-9s %-26s %-8s %-8s %-8s@." name
-            (Fmt.str "%a" pp_budget budget_s)
-            resolution
-            (match cost with Some c -> string_of_int c | None -> "-")
-            (match gap with Some g -> Fmt.str "%.1f%%" (100. *. g) | None -> "-")
-            (Fmt.str "%a" pp_time dt);
-          rows :=
-            Bench_json.Obj
-              [
-                ("workload", Bench_json.Str name);
-                ( "budget_s",
-                  if budget_s = infinity then Bench_json.Null
-                  else Bench_json.Float budget_s );
-                ("resolution", Bench_json.Str resolution);
-                ( "cost",
-                  match cost with
-                  | Some c -> Bench_json.Int c
-                  | None -> Bench_json.Null );
-                ( "gap",
-                  match gap with
-                  | Some g -> Bench_json.Float g
-                  | None -> Bench_json.Null );
-                ("wall_s", Bench_json.Float dt);
-              ]
-            :: !rows)
-        budgets)
-    workloads;
-  let path =
-    Bench_json.write ~experiment:"anytime" (Bench_json.List (List.rev !rows))
-  in
-  Fmt.pr "  shape check: larger budgets climb the ladder (heuristic/anytime -> optimal)@.";
-  Fmt.pr "  wrote %s (%d rows)@." path (List.length !rows)
-
 (* ---- portfolio: diversified parallel solving --------------------------- *)
 
 (* Race the N-worker portfolio against the sequential solver on two
@@ -430,7 +364,6 @@ let portfolio ~quick () =
   Fmt.pr "  cores available: %d@." cores;
   let jobs_ladder = if quick then [ 1; 4 ] else [ 1; 2; 4 ] in
   let timeout = if quick then 30. else 180. in
-  let rows = ref [] in
   let record ~workload ~strategy ~seed ~jobs ~wall ~seq_wall ~outcome ~winner
       ~cost =
     (* a wall-clock speedup claim is only honest when each worker had a
@@ -449,26 +382,6 @@ let portfolio ~quick () =
       | None when jobs > 1 && jobs > cores ->
         Printf.sprintf "  (no speedup claim: %d jobs on %d cores)" jobs cores
       | None -> "");
-    rows :=
-      Bench_json.Obj
-        [
-          ("workload", Bench_json.Str workload);
-          ("strategy", Bench_json.Str strategy);
-          ("seed", Bench_json.Int seed);
-          ("jobs", Bench_json.Int jobs);
-          ("cores_available", Bench_json.Int cores);
-          ("outcome", Bench_json.Str outcome);
-          ("winner", Bench_json.Int winner);
-          ( "cost",
-            match cost with Some c -> Bench_json.Int c | None -> Bench_json.Null
-          );
-          ("wall_s", Bench_json.Float wall);
-          ( "speedup_vs_seq",
-            match speedup with
-            | Some s -> Bench_json.Float s
-            | None -> Bench_json.Null );
-        ]
-      :: !rows;
     speedup
   in
   let best = Hashtbl.create 4 in
@@ -646,17 +559,6 @@ let portfolio ~quick () =
     (100.
     *. float_of_int (clauses_before - clauses_after)
     /. float_of_int (max 1 clauses_before));
-  rows :=
-    Bench_json.Obj
-      [
-        ("workload", Bench_json.Str "tindell43");
-        ("strategy", Bench_json.Str "inprocess-passes");
-        ("cores_available", Bench_json.Int cores);
-        ("clauses_before", Bench_json.Int clauses_before);
-        ("clauses_after", Bench_json.Int clauses_after);
-        ("pass_changes", Bench_json.Int changes);
-      ]
-    :: !rows;
   let solve_t43 inprocess =
     let options =
       { Encode.default_options with Encode.inprocess = Some inprocess }
@@ -676,26 +578,8 @@ let portfolio ~quick () =
     Fmt.pr
       "  tindell43 end-to-end: conflicts %d -> %d with inprocessing (%a -> \
        %a)@."
-      off on pp_time wall_off pp_time wall_on;
-    List.iter
-      (fun (label, conflicts, wall) ->
-        rows :=
-          Bench_json.Obj
-            [
-              ("workload", Bench_json.Str "tindell43");
-              ("strategy", Bench_json.Str label);
-              ("cores_available", Bench_json.Int cores);
-              ("conflicts", Bench_json.Int conflicts);
-              ("wall_s", Bench_json.Float wall);
-            ]
-          :: !rows)
-      [
-        ("inprocess-off", off, wall_off); ("inprocess-on", on, wall_on);
-      ]
+      off on pp_time wall_off pp_time wall_on
   | _ -> Fmt.pr "  tindell43 end-to-end: budget expired, no conflict totals@.");
-  let path =
-    Bench_json.write ~experiment:"portfolio" (Bench_json.List (List.rev !rows))
-  in
   Hashtbl.iter
     (fun w s -> Fmt.pr "  best speedup %-14s %.2fx at 4 workers@." w s)
     best;
@@ -705,198 +589,14 @@ let portfolio ~quick () =
   if cores >= 4 then
     Hashtbl.iter
       (fun w s ->
-        if s < 2.0 then
-          Fmt.pr "  gate: VIOLATED: %s best speedup %.2fx < 2x at 4 workers@."
-            w s
-        else Fmt.pr "  gate: %s %.2fx >= 2x at 4 workers@." w s)
+        verdict "gate" "portfolio" (s >= 2.0)
+          "%s best speedup %.2fx >= 2x at 4 workers" w s)
       best
   else
     Fmt.pr
       "  gate: skipped (needs >= 4 cores for the 2x-at-4-workers check; this \
        machine has %d)@."
-      cores;
-  Fmt.pr "  wrote %s (%d rows)@." path (List.length !rows)
-
-(* ---- explanation engine: MUS extraction and incremental what-if ---------- *)
-
-let explain ~quick () =
-  let module Solver = Taskalloc_sat.Solver in
-  let module Bv = Taskalloc_bv.Bv in
-  let module Explain = Taskalloc_explain.Explain in
-  section "Explain: incremental MUS extraction and what-if re-solving";
-  let rows = ref [] in
-
-  (* Part 1: MUS extraction on a pigeonhole-infeasible allocation — n
-     tasks of WCET 15 and deadline 20 on n-1 ECUs, padded with light
-     tasks.  The incremental engine (one encoding, learnt clauses
-     shared across all shrink probes) vs the naive deletion loop that
-     re-encodes and solves from scratch for every probe. *)
-  let pigeonhole n =
-    let n_ecus = n - 1 in
-    let arch =
-      {
-        Model.n_ecus;
-        media =
-          [
-            {
-              Model.med_id = 0;
-              med_name = "ring";
-              kind = Model.Tdma;
-              ecus = List.init n_ecus Fun.id;
-              byte_time = 1;
-              frame_overhead = 2;
-            };
-          ];
-        mem_capacity = Array.make n_ecus 1000;
-        gateway_service = 0;
-        barred = [];
-      }
-    in
-    let on_all w = List.init n_ecus (fun e -> (e, w)) in
-    let heavy i =
-      {
-        Model.task_id = i;
-        task_name = Printf.sprintf "heavy%d" i;
-        period = 100;
-        wcets = on_all 15;
-        deadline = 20;
-        memory = 1;
-        separation = [];
-        messages = [];
-        jitter = 0;
-        blocking = 0;
-        criticality = 0;
-      }
-    in
-    let light i =
-      { (heavy i) with task_name = Printf.sprintf "light%d" (i - n);
-                       deadline = 90; wcets = on_all 2 }
-    in
-    Model.make_problem ~arch
-      ~tasks:(List.init (2 * n) (fun i -> if i < n then heavy i else light i))
-  in
-  let naive_mus problem =
-    (* every probe pays a full re-encode and a cold solver *)
-    let solves = ref 0 in
-    let solve_with ids =
-      incr solves;
-      let enc = Encode.encode ~groups:true problem Encode.Feasible in
-      let solver = Bv.solver (Encode.context enc) in
-      let sel id =
-        match List.find_opt (fun g -> Encode.group_id g = id) (Encode.groups enc) with
-        | Some g -> g.Encode.selector
-        | None -> assert false
-      in
-      let r = Solver.solve ~assumptions:(List.map sel ids) solver in
-      let core () =
-        let back = Hashtbl.create 16 in
-        List.iter (fun id -> Hashtbl.replace back (sel id) id) ids;
-        List.filter_map (fun l -> Hashtbl.find_opt back l) (Solver.unsat_core solver)
-      in
-      (r, core)
-    in
-    let all =
-      List.map Encode.group_id
-        (Encode.groups (Encode.encode ~groups:true problem Encode.Feasible))
-    in
-    match solve_with all with
-    | Solver.Unsat, core ->
-      let work = ref (core ()) in
-      let rec shrink tested =
-        match List.find_opt (fun id -> not (List.mem id tested)) !work with
-        | None -> ()
-        | Some id -> (
-          let rest = List.filter (fun x -> x <> id) !work in
-          match solve_with rest with
-          | Solver.Unsat, core ->
-            work := core ();
-            shrink tested
-          | _ -> shrink (id :: tested))
-      in
-      shrink [];
-      (List.length !work, !solves)
-    | _ -> Fmt.failwith "explain bench: pigeonhole instance not unsat"
-  in
-  let n = if quick then 5 else 8 in
-  let problem = pigeonhole n in
-  (* max_relaxations:0 keeps the comparison MUS-only (no correction
-     sets), matching what the naive loop computes *)
-  let report, t_mus = time (fun () -> Explain.explain ~max_relaxations:0 problem) in
-  let mus_size =
-    match report.Explain.status with
-    | Explain.Explained { core; minimal } ->
-      if not minimal then Fmt.failwith "explain bench: unbudgeted MUS not minimal";
-      List.length core
-    | _ -> Fmt.failwith "explain bench: pigeonhole instance not explained"
-  in
-  let (naive_size, naive_solves), t_naive = time (fun () -> naive_mus problem) in
-  if naive_size <> mus_size then
-    Fmt.failwith "explain bench: naive and incremental MUS sizes disagree (%d vs %d)"
-      naive_size mus_size;
-  let mus_speedup = t_naive /. Float.max t_mus 1e-6 in
-  Fmt.pr
-    "  MUS (pigeonhole n=%d): incremental %a / %d solves   naive re-encode %a / %d \
-     solves   speedup %.2fx@."
-    n pp_time t_mus report.Explain.solves pp_time t_naive naive_solves mus_speedup;
-  rows :=
-    Bench_json.Obj
-      [
-        ("part", Bench_json.Str "mus");
-        ("instance", Bench_json.Str (Printf.sprintf "pigeonhole%d" n));
-        ("core_size", Bench_json.Int mus_size);
-        ("incremental_s", Bench_json.Float t_mus);
-        ("incremental_solves", Bench_json.Int report.Explain.solves);
-        ("naive_s", Bench_json.Float t_naive);
-        ("naive_solves", Bench_json.Int naive_solves);
-        ("speedup", Bench_json.Float mus_speedup);
-      ]
-    :: !rows;
-
-  (* Part 2: what-if queries at Table-1 scale — one live session
-     answering Q deadline tightenings vs a fresh encode+solve per
-     query. *)
-  let wname, problem =
-    if quick then ("tasks20", Workloads.task_scaling ~n:20 ())
-    else ("tindell43", Workloads.tindell43 ())
-  in
-  let tasks = problem.Model.tasks in
-  let queries =
-    List.init (min 6 (Array.length tasks)) (fun i ->
-        [ Explain.Whatif.Set_deadline { task = i; deadline = tasks.(i).Model.deadline - 1 } ])
-  in
-  let run_incremental () =
-    let w = Explain.Whatif.create problem in
-    List.iter (fun q -> ignore (Explain.Whatif.query w q)) queries
-  in
-  let run_fresh () =
-    List.iter
-      (fun q ->
-        let w = Explain.Whatif.create problem in
-        ignore (Explain.Whatif.query w q))
-      queries
-  in
-  let (), t_inc = time run_incremental in
-  let (), t_fresh = time run_fresh in
-  let whatif_speedup = t_fresh /. Float.max t_inc 1e-6 in
-  Fmt.pr "  what-if (%s, %d queries): incremental %a   fresh %a   speedup %.2fx@."
-    wname (List.length queries) pp_time t_inc pp_time t_fresh whatif_speedup;
-  if whatif_speedup < 2. then
-    Fmt.pr "  shape check: VIOLATED: incremental what-if speedup %.2fx < 2x@."
-      whatif_speedup
-  else Fmt.pr "  shape check: OK (>= 2x, matching the paper's reuse ablation)@.";
-  rows :=
-    Bench_json.Obj
-      [
-        ("part", Bench_json.Str "whatif");
-        ("workload", Bench_json.Str wname);
-        ("queries", Bench_json.Int (List.length queries));
-        ("incremental_s", Bench_json.Float t_inc);
-        ("fresh_s", Bench_json.Float t_fresh);
-        ("speedup", Bench_json.Float whatif_speedup);
-      ]
-    :: !rows;
-  let path = Bench_json.write ~experiment:"explain" (Bench_json.List (List.rev !rows)) in
-  Fmt.pr "  wrote %s (%d rows)@." path (List.length !rows)
+      cores
 
 (* ---- observability overhead ---------------------------------------------- *)
 
@@ -907,171 +607,6 @@ let explain ~quick () =
    the only difference is the sink state.  The disabled run also
    re-checks the null-sink invariant: zero samples of the injected
    clock. *)
-(* ---- Online repair: warm-start vs fresh re-solve --------------------- *)
-
-let repair_bench ~quick () =
-  let module Repair = Taskalloc_repair.Repair in
-  section "Repair: warm-started incremental repair vs fresh re-solve";
-  (* On an ECU failure the repair engine reuses the live grouped
-     session: the failure is expressed as assumptions, so no
-     re-encoding happens at all, and the migration-count minimization
-     starts from a solver that has already learnt the instance.  The
-     cold baseline pays what any restart-from-scratch approach pays:
-     encode the disrupted problem and solve it fresh. *)
-  (* A dedicated online-repair workload.  The scaling workloads pin a
-     fraction of tasks to single ECUs and run their app ECUs near
-     saturation, so any loaded ECU is a single point of failure; a
-     system designed for repair keeps full placement domains and
-     spare capacity.  Chains of messaging tasks on one ring, every
-     task placeable everywhere, aggregate utilization ~2 ECUs' worth
-     short of the ring: failing any ECU is survivable. *)
-  let repair_workload ~n_ecus ~n_tasks =
-    let arch =
-      {
-        Model.n_ecus;
-        media =
-          [
-            {
-              Model.med_id = 0;
-              med_name = "ring";
-              kind = Model.Tdma;
-              ecus = List.init n_ecus Fun.id;
-              byte_time = 1;
-              frame_overhead = 2;
-            };
-          ];
-        mem_capacity = Array.make n_ecus max_int;
-        gateway_service = 0;
-        barred = [];
-      }
-    in
-    (* chains of 3: head -> mid -> tail, one message per hop *)
-    let task i =
-      let period = 100 * (1 + (i mod 3)) in
-      let wcet e = 8 + ((i + e) mod 5) in
-      let messages =
-        if i mod 3 = 2 || i + 1 >= n_tasks then []
-        else
-          [
-            {
-              Model.msg_id = i - (i / 3) - (if i mod 3 = 2 then 1 else 0);
-              src = i;
-              dst = i + 1;
-              bytes = 4;
-              msg_deadline = period;
-            };
-          ]
-      in
-      {
-        Model.task_id = i;
-        task_name = Printf.sprintf "t%02d" i;
-        period;
-        wcets = List.init n_ecus (fun e -> (e, wcet e));
-        deadline = period - (10 * (i mod 3));
-        memory = 1;
-        separation = [];
-        messages;
-        jitter = 0;
-        blocking = 0;
-        criticality = 0;
-      }
-    in
-    Model.make_problem ~arch ~tasks:(List.init n_tasks task)
-  in
-  let name, problem =
-    if quick then ("repair12", repair_workload ~n_ecus:4 ~n_tasks:12)
-    else ("repair18", repair_workload ~n_ecus:6 ~n_tasks:18)
-  in
-  let alloc =
-    match Allocator.find_feasible problem with
-    | Allocator.Solved r -> r.Allocator.allocation
-    | _ -> Fmt.failwith "repair bench: %s must be feasible" name
-  in
-  (* fail the first ECU whose loss dooms no task but evicts at least
-     one, so the warm assumption path is exercised *)
-  let event =
-    let rec pick e =
-      if e >= problem.Model.arch.Model.n_ecus then
-        Fmt.failwith "repair bench: no benign ECU failure on %s" name
-      else
-        let ev = Repair.Ecu_failure { ecu = e } in
-        let d = Repair.apply_event problem ev in
-        let evicted =
-          Array.exists (fun seat -> seat = e) alloc.Model.task_ecu
-        in
-        if d.Repair.d_doomed = [] && evicted then ev else pick (e + 1)
-    in
-    pick 0
-  in
-  let disrupted = (Repair.apply_event problem event).Repair.d_problem in
-  let trials = if quick then 3 else 5 in
-  let rows = ref [] in
-  let warm_total = ref 0. and fresh_total = ref 0. in
-  for trial = 1 to trials do
-    (* session construction (the steady-state cost, paid long before
-       the disruption) stays outside the timer on the warm path; the
-       cold path pays encode + solve inside it, as a restart would *)
-    let st = Repair.create problem alloc in
-    let outcome, warm_s =
-      time (fun () -> Repair.repair ~validate:false st event)
-    in
-    let migrations =
-      match outcome with
-      | Repair.Repaired r ->
-        if not r.Repair.warm then
-          Fmt.failwith "repair bench: expected the warm path";
-        List.length r.Repair.migrations
-      | _ -> Fmt.failwith "repair bench: repair failed"
-    in
-    let fresh_outcome, fresh_s =
-      time (fun () -> Allocator.find_feasible ~validate:false disrupted)
-    in
-    (match fresh_outcome with
-    | Allocator.Solved _ -> ()
-    | _ -> Fmt.failwith "repair bench: fresh re-solve failed");
-    warm_total := !warm_total +. warm_s;
-    fresh_total := !fresh_total +. fresh_s;
-    Fmt.pr "  trial %d: warm repair %.4fs (%d migrations)  fresh re-solve %.4fs@."
-      trial warm_s migrations fresh_s;
-    rows :=
-      Bench_json.Obj
-        [
-          ("workload", Bench_json.Str name);
-          ("trial", Bench_json.Int trial);
-          ("warm_s", Bench_json.Float warm_s);
-          ("fresh_s", Bench_json.Float fresh_s);
-          ("migrations", Bench_json.Int migrations);
-        ]
-      :: !rows
-  done;
-  let speedup = !fresh_total /. Float.max 1e-9 !warm_total in
-  (* a final validated repair: the speed must not come from skipping
-     correctness *)
-  let st = Repair.create problem alloc in
-  (match Repair.repair st event with
-  | Repair.Repaired r ->
-    if r.Repair.check_violations <> 0 || r.Repair.sim_misses <> 0 then
-      Fmt.failwith "repair bench: warm repair failed validation"
-  | _ -> Fmt.failwith "repair bench: validated repair failed");
-  Fmt.pr "  speedup: %.1fx (warm %.4fs vs fresh %.4fs, %d trials)@." speedup
-    (!warm_total /. float trials)
-    (!fresh_total /. float trials)
-    trials;
-  if quick then Fmt.pr "  shape check: skipped (quick mode)@."
-  else if speedup >= 2. then
-    Fmt.pr "  shape check: warm-start repair >= 2x faster than re-solve  OK@."
-  else Fmt.pr "  shape check:   VIOLATED: speedup %.1fx < 2x@." speedup;
-  let path =
-    Bench_json.write ~experiment:"repair"
-      (Bench_json.Obj
-         [
-           ("rows", Bench_json.List (List.rev !rows));
-           ("speedup", Bench_json.Float speedup);
-           ("shape_ok", Bench_json.Bool (quick || speedup >= 2.));
-         ])
-  in
-  Fmt.pr "  wrote %s@." path
-
 let obs_overhead ~quick () =
   section "Observability: tracing+metrics overhead on solver-bound work";
   let module Solver = Taskalloc_sat.Solver in
@@ -1132,173 +667,124 @@ let obs_overhead ~quick () =
     t_off reps null_samples;
   Fmt.pr "  enabled:  %a (min of %d; %d progress samples, %d trace events)@."
     pp_time t_on reps samples n_events;
-  if null_samples <> 0 then
-    Fmt.pr "  shape check: VIOLATED: disabled run sampled the clock %d times@."
-      null_samples
-  else if overhead <= 0.05 then
-    Fmt.pr "  shape check: overhead %.1f%% <= 5%%  OK@." (100. *. overhead)
-  else
-    Fmt.pr "  shape check: VIOLATED: overhead %.1f%% > 5%%@." (100. *. overhead);
-  let library_row =
-    Bench_json.Obj
-      [
-        ("path", Bench_json.Str "library");
-        ("workload", Bench_json.Str (Printf.sprintf "3sat n=%d m=%d x%d" n m (List.length seeds)));
-        ("reps", Bench_json.Int reps);
-        ("disabled_s", Bench_json.Float t_off);
-        ("enabled_s", Bench_json.Float t_on);
-        ("overhead", Bench_json.Float overhead);
-        ("progress_samples", Bench_json.Int samples);
-        ("clock_samples_while_off", Bench_json.Int null_samples);
-      ]
-  in
+  check "obs" (null_samples = 0) "%d clock samples while off (want 0)"
+    null_samples;
+  check "obs" (overhead <= 0.05) "overhead %.1f%% <= 5%%" (100. *. overhead);
   (* the daemon path: the same enabled-vs-disabled comparison over the
      wire, with the progress-sample hook installed and the flight
      recorder recording in BOTH runs (they always are in the daemon),
      so the delta isolates what `--trace --metrics` adds on top of the
      always-on machinery *)
-  let daemon_rows =
-    if quick then begin
-      Fmt.pr "  daemon path: skipped (quick mode)@.";
-      []
-    end
-    else begin
-      let module Server = Taskalloc_server.Server in
-      let module Client = Taskalloc_server.Client in
-      let module Json = Taskalloc_server.Json in
-      let sock =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "taskallocd-obsbench-%d.sock" (Unix.getpid ()))
-      in
-      Obs.clear ();
-      let cfg =
-        { Server.default_config with Server.listen = `Unix sock; Server.workers = 4 }
-      in
-      let server = Server.create cfg in
-      let serving = Domain.spawn (fun () -> Server.run server) in
-      ignore (Client.wait_ready (`Unix sock));
-      let problem = Workloads.task_scaling ~n:12 () in
-      let tasks = problem.Model.tasks in
-      let queries =
-        List.init 6 (fun i ->
-            Printf.sprintf "deadline %s %d" tasks.(i).Model.task_name
-              (tasks.(i).Model.deadline - 1))
-      in
-      let n_clients = 4 and per_client = 10 in
-      let batch () =
-        List.init n_clients (fun k ->
-            Domain.spawn (fun () ->
-                let c = Client.connect (`Unix sock) in
-                let check name resp =
-                  match Json.to_bool (Json.member "ok" resp) with
-                  | Some true -> resp
-                  | _ ->
-                    Fmt.failwith "obs daemon bench: %s failed: %s" name
-                      (Json.to_string resp)
-                in
-                let opened =
-                  check "open"
-                    (Client.request c
-                       (Json.Obj
-                          [
-                            ("kind", Json.Str "open");
-                            ("workload", Json.Str "tasks12");
-                            ("seed", Json.Int (40 + k));
-                          ]))
-                in
-                let sid =
-                  Option.get (Json.to_str (Json.member "session" opened))
-                in
-                for i = 0 to per_client - 1 do
-                  ignore
-                    (check "whatif"
-                       (Client.request c
-                          (Json.Obj
-                             [
-                               ("kind", Json.Str "whatif");
-                               ("session", Json.Str sid);
-                               ( "deltas",
-                                 Json.Str
-                                   (List.nth queries (i mod List.length queries))
-                               );
-                               ("deadline_ms", Json.Int 2_000);
-                             ])))
-                done;
+  if quick then Fmt.pr "  daemon path: skipped (quick mode)@."
+  else begin
+    let module Server = Taskalloc_server.Server in
+    let module Client = Taskalloc_server.Client in
+    let module Json = Taskalloc_server.Json in
+    let sock =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "taskallocd-obsbench-%d.sock" (Unix.getpid ()))
+    in
+    Obs.clear ();
+    let cfg =
+      { Server.default_config with Server.listen = `Unix sock; Server.workers = 4 }
+    in
+    let server = Server.create cfg in
+    let serving = Domain.spawn (fun () -> Server.run server) in
+    ignore (Client.wait_ready (`Unix sock));
+    let problem = Workloads.task_scaling ~n:12 () in
+    let tasks = problem.Model.tasks in
+    let queries =
+      List.init 6 (fun i ->
+          Printf.sprintf "deadline %s %d" tasks.(i).Model.task_name
+            (tasks.(i).Model.deadline - 1))
+    in
+    let n_clients = 4 and per_client = 10 in
+    let batch () =
+      List.init n_clients (fun k ->
+          Domain.spawn (fun () ->
+              let c = Client.connect (`Unix sock) in
+              let check name resp =
+                match Json.to_bool (Json.member "ok" resp) with
+                | Some true -> resp
+                | _ ->
+                  Fmt.failwith "obs daemon bench: %s failed: %s" name
+                    (Json.to_string resp)
+              in
+              let opened =
+                check "open"
+                  (Client.request c
+                     (Json.Obj
+                        [
+                          ("kind", Json.Str "open");
+                          ("workload", Json.Str "tasks12");
+                          ("seed", Json.Int (40 + k));
+                        ]))
+              in
+              let sid =
+                Option.get (Json.to_str (Json.member "session" opened))
+              in
+              for i = 0 to per_client - 1 do
                 ignore
-                  (check "close"
+                  (check "whatif"
                      (Client.request c
                         (Json.Obj
-                           [ ("kind", Json.Str "close"); ("session", Json.Str sid) ])));
-                Client.close c))
-        |> List.iter Domain.join
-      in
-      batch () (* warm-up: sessions opened once, encode cache hot *);
-      let flight0 = Obs.Flight.total () in
-      let measure_daemon () =
-        let d_off = ref infinity and d_on = ref infinity in
-        for _ = 1 to reps do
-          Obs.disable ();
-          let (), dt = time batch in
-          if dt < !d_off then d_off := dt;
-          Obs.enable ~tracing:true ~metrics:true ();
-          let (), dt = time batch in
-          if dt < !d_on then d_on := dt
-        done;
+                           [
+                             ("kind", Json.Str "whatif");
+                             ("session", Json.Str sid);
+                             ( "deltas",
+                               Json.Str
+                                 (List.nth queries (i mod List.length queries))
+                             );
+                             ("deadline_ms", Json.Int 2_000);
+                           ])))
+              done;
+              ignore
+                (check "close"
+                   (Client.request c
+                      (Json.Obj
+                         [ ("kind", Json.Str "close"); ("session", Json.Str sid) ])));
+              Client.close c))
+      |> List.iter Domain.join
+    in
+    batch () (* warm-up: sessions opened once, encode cache hot *);
+    let measure_daemon () =
+      let d_off = ref infinity and d_on = ref infinity in
+      for _ = 1 to reps do
         Obs.disable ();
-        (!d_off, !d_on)
-      in
-      (* same one-sided-noise discipline as the library row: socket
-         scheduling jitter across 4 client domains is worth several
-         percent on its own, so keep the best of up to 3 attempts *)
-      let d_overhead_of (off, on) = (on -. off) /. Float.max off 1e-9 in
-      let d_best = ref (measure_daemon ()) in
-      let d_attempts = ref 1 in
-      while d_overhead_of !d_best > 0.05 && !d_attempts < 3 do
-        incr d_attempts;
-        let m = measure_daemon () in
-        if d_overhead_of m < d_overhead_of !d_best then d_best := m
+        let (), dt = time batch in
+        if dt < !d_off then d_off := dt;
+        Obs.enable ~tracing:true ~metrics:true ();
+        let (), dt = time batch in
+        if dt < !d_on then d_on := dt
       done;
-      let d_off, d_on = !d_best in
-      let flight_recorded = Obs.Flight.total () - flight0 in
-      Server.stop server;
-      Domain.join serving;
-      let d_overhead = (d_on -. d_off) /. Float.max d_off 1e-9 in
-      Fmt.pr
-        "  daemon path (%d clients x %d whatifs over the socket, min of %d):@."
-        n_clients per_client reps;
-      Fmt.pr "    disabled: %a   enabled: %a   overhead %.1f%%@." pp_time d_off
-        pp_time d_on (100. *. d_overhead);
-      if d_overhead <= 0.05 then
-        Fmt.pr "  shape check: daemon overhead %.1f%% <= 5%%  OK@."
-          (100. *. d_overhead)
-      else
-        Fmt.pr "  shape check: VIOLATED: daemon overhead %.1f%% > 5%%@."
-          (100. *. d_overhead);
-      [
-        Bench_json.Obj
-          [
-            ("path", Bench_json.Str "daemon");
-            ( "workload",
-              Bench_json.Str
-                (Printf.sprintf "tasks12 whatif x%d, %d clients" per_client
-                   n_clients) );
-            ("reps", Bench_json.Int reps);
-            ("disabled_s", Bench_json.Float d_off);
-            ("enabled_s", Bench_json.Float d_on);
-            ("overhead", Bench_json.Float d_overhead);
-            ("flight_events_recorded", Bench_json.Int flight_recorded);
-            ("shape_ok", Bench_json.Bool (d_overhead <= 0.05));
-          ];
-      ]
-    end
-  in
-  Obs.clear ();
-  let path =
-    Bench_json.write ~experiment:"obs"
-      (Bench_json.List (library_row :: daemon_rows))
-  in
-  Fmt.pr "  wrote %s@." path
+      Obs.disable ();
+      (!d_off, !d_on)
+    in
+    (* same one-sided-noise discipline as the library row: socket
+       scheduling jitter across 4 client domains is worth several
+       percent on its own, so keep the best of up to 3 attempts *)
+    let d_overhead_of (off, on) = (on -. off) /. Float.max off 1e-9 in
+    let d_best = ref (measure_daemon ()) in
+    let d_attempts = ref 1 in
+    while d_overhead_of !d_best > 0.05 && !d_attempts < 3 do
+      incr d_attempts;
+      let m = measure_daemon () in
+      if d_overhead_of m < d_overhead_of !d_best then d_best := m
+    done;
+    let d_off, d_on = !d_best in
+    Server.stop server;
+    Domain.join serving;
+    let d_overhead = (d_on -. d_off) /. Float.max d_off 1e-9 in
+    Fmt.pr
+      "  daemon path (%d clients x %d whatifs over the socket, min of %d):@."
+      n_clients per_client reps;
+    Fmt.pr "    disabled: %a   enabled: %a   overhead %.1f%%@." pp_time d_off
+      pp_time d_on (100. *. d_overhead);
+    check "obs" (d_overhead <= 0.05) "daemon overhead %.1f%% <= 5%%"
+      (100. *. d_overhead)
+  end;
+  Obs.clear ()
 
 (* ---- CEGAR: lazy vs eager response-time encoding ----------------------- *)
 
@@ -1324,7 +810,6 @@ let cegar ~quick () =
         ("tindell43", Workloads.tindell43 ());
       ]
   in
-  let rows = ref [] in
   let last = ref None in
   List.iter
     (fun (name, problem) ->
@@ -1383,276 +868,15 @@ let cegar ~quick () =
       if e_res.Allocator.cost <> l_cost then
         Fmt.failwith "cegar: optimum mismatch on %s: eager %d, lazy %d" name
           e_res.Allocator.cost l_cost;
-      last := Some (name, size_ratio, enc_speedup);
-      rows :=
-        Bench_json.Obj
-          [
-            ("workload", Bench_json.Str name);
-            ("eager_encode_s", Bench_json.Float e_enc_s);
-            ("lazy_encode_s", Bench_json.Float l_enc_s);
-            ("eager_vars", Bench_json.Int e_vars);
-            ("eager_lits", Bench_json.Int e_lits);
-            ("abstraction_vars", Bench_json.Int a_vars);
-            ("abstraction_lits", Bench_json.Int a_lits);
-            ("final_lazy_vars", Bench_json.Int f_vars);
-            ("final_lazy_lits", Bench_json.Int f_lits);
-            ("eager_solve_s", Bench_json.Float e_solve_s);
-            ("lazy_solve_s", Bench_json.Float l_solve_s);
-            ("cost", Bench_json.Int l_cost);
-            ("rounds", Bench_json.Int rounds);
-            ("refined_tasks", Bench_json.Int rt);
-            ("refined_media", Bench_json.Int rm);
-            ("size_ratio", Bench_json.Float size_ratio);
-            ("encode_speedup", Bench_json.Float enc_speedup);
-          ]
-        :: !rows)
+      last := Some (name, size_ratio, enc_speedup))
     instances;
   let name, size_ratio, enc_speedup =
     match !last with Some x -> x | None -> assert false
   in
-  let shape_ok = size_ratio >= 5. && enc_speedup >= 2. in
-  if shape_ok then
-    Fmt.pr
-      "  shape check: %s abstraction %.1fx smaller (>= 5x) and encode %.1fx \
-       faster (>= 2x)  OK@."
-      name size_ratio enc_speedup
-  else
-    Fmt.pr
-      "  shape check: VIOLATED on %s: size ratio %.1fx (want >= 5x), encode \
-       speedup %.1fx (want >= 2x)@."
-      name size_ratio enc_speedup;
-  let path =
-    Bench_json.write ~experiment:"cegar"
-      (Bench_json.Obj
-         [
-           ("rows", Bench_json.List (List.rev !rows));
-           ("size_ratio", Bench_json.Float size_ratio);
-           ("encode_speedup", Bench_json.Float enc_speedup);
-           ("shape_ok", Bench_json.Bool shape_ok);
-         ])
-  in
-  Fmt.pr "  wrote %s@." path
-
-(* ---- micro-benchmarks of the solver substrate (bechamel) ----------------- *)
-
-let micro () =
-  section "Micro-benchmarks (bechamel): solver substrate";
-  let open Bechamel in
-  let open Toolkit in
-  let sat_small =
-    Test.make ~name:"solve php(5,5)"
-      (Staged.stage (fun () ->
-           let open Taskalloc_sat in
-           let s = Solver.create () in
-           let x = Array.init 5 (fun _ -> Array.init 5 (fun _ -> Solver.new_var s)) in
-           for p = 0 to 4 do
-             Solver.add_clause s (List.init 5 (fun h -> Lit.of_var x.(p).(h)))
-           done;
-           for h = 0 to 4 do
-             Solver.add_at_most_one s (List.init 5 (fun p -> Lit.of_var x.(p).(h)))
-           done;
-           ignore (Solver.solve s)))
-  in
-  let encode_small =
-    Test.make ~name:"encode 7-task problem"
-      (Staged.stage
-         (let problem = Workloads.task_scaling ~n:7 () in
-          fun () -> ignore (Encode.encode problem (Encode.Min_trt 0))))
-  in
-  let rta =
-    Test.make ~name:"task RTA fixpoint"
-      (Staged.stage (fun () ->
-           ignore
-             (Analysis.task_response_time ~wcet:3 ~deadline:1000
-                ~interferers:[ (1, 4, 0); (2, 6, 0); (5, 30, 2) ] ())))
-  in
-  let bin_search =
-    Test.make ~name:"optimize quickstart"
-      (Staged.stage
-         (let problem = Workloads.small ~seed:5 ~n_ecus:2 ~n_tasks:4 () in
-          fun () -> ignore (Allocator.solve problem (Encode.Min_trt 0))))
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg instances test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Fmt.pr "  %-28s %.0f ns/run@." name est
-        | _ -> Fmt.pr "  %-28s (no estimate)@." name)
-      results
-  in
-  List.iter
-    (fun t -> benchmark (Test.make_grouped ~name:"micro" [ t ]))
-    [ sat_small; encode_small; rta; bin_search ]
-
-(* ---- driver ----------------------------------------------------------------- *)
-
-(* ---- taskallocd: warm sessions vs fresh re-encode over the wire ------- *)
-
-(* The serving-layer claim: a resident session makes the incremental
-   what-if wins of BENCH_explain.json survive the protocol.  Warm = one
-   [open] then Q delta queries against the live session; fresh = every
-   query pays its own [open] (cache disabled, so the encode really
-   reruns) and [close].  Both sides cross the same socket, so protocol
-   overhead cancels.  Plus a sustained-throughput row: 4 concurrent
-   clients on distinct sessions at a fixed deadline, requests/s, with
-   cores_available recorded per the portfolio bench's honest-gate
-   convention. *)
-let daemon_bench ~quick () =
-  let module Server = Taskalloc_server.Server in
-  let module Client = Taskalloc_server.Client in
-  let module Json = Taskalloc_server.Json in
-  section "allocation service: warm sessions vs fresh re-encode";
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "taskallocd-bench-%d.sock" (Unix.getpid ()))
-  in
-  let cfg =
-    { Server.default_config with Server.listen = `Unix sock; Server.workers = 4 }
-  in
-  let server = Server.create cfg in
-  let serving = Domain.spawn (fun () -> Server.run server) in
-  let listen = `Unix sock in
-  let req c fields =
-    let resp = Client.request c (Json.Obj fields) in
-    (match Json.to_bool (Json.member "ok" resp) with
-    | Some true -> ()
-    | _ -> Fmt.failwith "daemon bench: request failed: %s" (Json.to_string resp));
-    resp
-  in
-  let wname, problem =
-    if quick then ("tasks12", Workloads.task_scaling ~n:12 ())
-    else ("tindell43", Workloads.tindell43 ())
-  in
-  ignore problem;
-  let open_session ?(cache = true) c =
-    let resp =
-      req c
-        [
-          ("kind", Json.Str "open");
-          ("workload", Json.Str wname);
-          ("seed", Json.Int 42);
-          ("cache", Json.Bool cache);
-        ]
-    in
-    match Json.to_str (Json.member "session" resp) with
-    | Some sid -> sid
-    | None -> Fmt.failwith "daemon bench: open returned no session"
-  in
-  (* deadline tightenings, mirroring the explain bench's query mix *)
-  let tasks = problem.Model.tasks in
-  let queries =
-    List.init
-      (min (if quick then 4 else 6) (Array.length tasks))
-      (fun i ->
-        Printf.sprintf "deadline %s %d" tasks.(i).Model.task_name
-          (tasks.(i).Model.deadline - 1))
-  in
-  let whatif c sid q =
-    ignore
-      (req c
-         [
-           ("kind", Json.Str "whatif");
-           ("session", Json.Str sid);
-           ("deltas", Json.Str q);
-         ])
-  in
-  let close c sid =
-    ignore (req c [ ("kind", Json.Str "close"); ("session", Json.Str sid) ])
-  in
-  let c = Client.connect listen in
-  (* warm: the session (and its encode) stays resident across queries *)
-  let (), warm_s =
-    time (fun () ->
-        let sid = open_session c in
-        List.iter (whatif c sid) queries;
-        close c sid)
-  in
-  (* fresh: every query pays open (cache off => full re-encode) + close *)
-  let (), fresh_s =
-    time (fun () ->
-        List.iter
-          (fun q ->
-            let sid = open_session ~cache:false c in
-            whatif c sid q;
-            close c sid)
-          queries)
-  in
-  Client.close c;
-  let speedup = fresh_s /. Float.max warm_s 1e-6 in
-  Fmt.pr "  %s, %d queries over the socket: warm %a   fresh %a   speedup %.2fx@."
-    wname (List.length queries) pp_time warm_s pp_time fresh_s speedup;
-  if quick then Fmt.pr "  shape check: skipped (quick mode)@."
-  else if speedup >= 2. then
-    Fmt.pr "  shape check: warm sessions >= 2x fresh re-encode  OK@."
-  else Fmt.pr "  shape check: VIOLATED: speedup %.2fx < 2x@." speedup;
-  (* sustained throughput: 4 concurrent clients, distinct sessions,
-     every request deadline-bounded *)
-  let n_clients = 4 in
-  let per_client = if quick then 6 else 12 in
-  let deadline_ms = 250 in
-  let (), wall_s =
-    time (fun () ->
-        let client k =
-          let c = Client.connect listen in
-          let sid = open_session ~cache:false c in
-          for i = 0 to per_client - 1 do
-            ignore k;
-            let q = List.nth queries (i mod List.length queries) in
-            ignore
-              (req c
-                 [
-                   ("kind", Json.Str "whatif");
-                   ("session", Json.Str sid);
-                   ("deltas", Json.Str q);
-                   ("deadline_ms", Json.Int deadline_ms);
-                 ])
-          done;
-          close c sid;
-          Client.close c
-        in
-        List.init n_clients (fun k -> Domain.spawn (fun () -> client k))
-        |> List.iter Domain.join)
-  in
-  let n_requests = n_clients * per_client in
-  let rps = float n_requests /. Float.max wall_s 1e-6 in
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr
-    "  throughput: %d clients x %d requests at %dms deadline: %.1f req/s (%d \
-     cores available)@."
-    n_clients per_client deadline_ms rps cores;
-  Server.stop server;
-  Domain.join serving;
-  let path =
-    Bench_json.write ~experiment:"daemon"
-      (Bench_json.Obj
-         [
-           ("workload", Bench_json.Str wname);
-           ("queries", Bench_json.Int (List.length queries));
-           ("warm_s", Bench_json.Float warm_s);
-           ("fresh_s", Bench_json.Float fresh_s);
-           ("speedup", Bench_json.Float speedup);
-           ("shape_ok", Bench_json.Bool (quick || speedup >= 2.));
-           ( "throughput",
-             Bench_json.Obj
-               [
-                 ("clients", Bench_json.Int n_clients);
-                 ("requests", Bench_json.Int n_requests);
-                 ("deadline_ms", Bench_json.Int deadline_ms);
-                 ("wall_s", Bench_json.Float wall_s);
-                 ("requests_per_s", Bench_json.Float rps);
-                 ("cores_available", Bench_json.Int cores);
-               ] );
-         ])
-  in
-  Fmt.pr "  wrote %s@." path
+  check "cegar"
+    (size_ratio >= 5. && enc_speedup >= 2.)
+    "%s abstraction %.1fx smaller (>= 5x) and encode %.1fx faster (>= 2x)" name
+    size_ratio enc_speedup
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--") in
@@ -1668,14 +892,9 @@ let () =
       ("ablation-incremental", fun () -> ablation_incremental ~quick ());
       ("ablation-encoding", fun () -> ablation_encoding ~quick ());
       ("ablation-pb", fun () -> ablation_pb ~quick ());
-      ("anytime", fun () -> anytime ~quick ());
-      ("portfolio", fun () -> portfolio ~quick ());
-      ("explain", fun () -> explain ~quick ());
-      ("repair", fun () -> repair_bench ~quick ());
       ("cegar", fun () -> cegar ~quick ());
       ("obs", fun () -> obs_overhead ~quick ());
-      ("daemon", fun () -> daemon_bench ~quick ());
-      ("micro", fun () -> micro ());
+      ("portfolio", fun () -> portfolio ~quick ());
     ]
   in
   let selected =
@@ -1694,13 +913,10 @@ let () =
         names
   in
   let t0 = Unix.gettimeofday () in
-  (* each experiment runs with a fresh metrics registry so the phase
-     breakdown embedded in its BENCH file is its own *)
-  List.iter
-    (fun (_, f) ->
-      Obs.clear ();
-      Obs.enable ~metrics:true ();
-      f ();
-      Obs.disable ())
-    selected;
-  Fmt.pr "@.total bench time: %a@." pp_time (Unix.gettimeofday () -. t0)
+  List.iter (fun (_, f) -> f ()) selected;
+  Fmt.pr "@.total bench time: %a@." pp_time (Unix.gettimeofday () -. t0);
+  match List.rev !violated with
+  | [] -> ()
+  | names ->
+    Fmt.pr "checks violated in: %a@." Fmt.(list ~sep:sp string) names;
+    exit 1

@@ -388,6 +388,7 @@ module Whatif = struct
   type t = {
     sess : sess;
     problem : Model.problem;
+    extra : Lit.t list; (* assumed on every query, beside the deltas *)
     deadline_bits : (int * int, Circuits.bit * int) Hashtbl.t;
         (* (task, deadline) -> reified [r_i <= d - J_i] plus the
            entry's latest recency stamp, cached so a revisited
@@ -400,15 +401,19 @@ module Whatif = struct
     mutable queries : int;
   }
 
-  let create ?options problem =
+  let of_session ~extra problem sess =
     {
-      sess = make_sess ?options problem;
+      sess;
       problem;
+      extra;
       deadline_bits = Hashtbl.create 8;
       deadline_lru = Queue.create ();
       deadline_stamp = 0;
       queries = 0;
     }
+
+  let create ?options problem =
+    of_session ~extra:[] problem (make_sess ?options problem)
 
   let cached_deadline_bits t = Hashtbl.length t.deadline_bits
   let session_vars t = Solver.n_vars t.sess.solver
@@ -509,7 +514,7 @@ module Whatif = struct
     | exception Trivially_infeasible d ->
       Infeasible { groups = []; deltas = [ d ] }
     | delta_lits -> (
-      let assumptions = group_assumptions @ List.map fst delta_lits in
+      let assumptions = group_assumptions @ t.extra @ List.map fst delta_lits in
       match Session.solve_lits ?budget sess assumptions with
       | Solver.Sat ->
         Feasible

@@ -144,6 +144,14 @@ module Whatif : sig
   val create : ?options:Encode.options -> Model.problem -> t
   (** Build the session: one grouped encoding, one solver. *)
 
+  val of_session :
+    extra:Taskalloc_sat.Lit.t list -> Model.problem -> Session.t -> t
+  (** Answer queries on an existing session whose encoding numbers
+      tasks as [problem] does, with [extra] literals assumed on every
+      query beside the deltas.  The session is shared, not copied: the
+      online repair engine hands out the session its last repair solved
+      this way, with its standing ECU-failure assumptions as [extra]. *)
+
   val query : ?budget:Budget.t -> t -> delta list -> verdict
   (** Re-solve under the deltas.  Queries are independent: deltas do
       not accumulate, and the session is reusable after any verdict.  A

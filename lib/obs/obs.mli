@@ -222,8 +222,8 @@ val metrics_json : unit -> string
 
 val phase_breakdown : unit -> (string * float) list
 (** Total seconds per span name (from the ["span.<name>.us"]
-    histograms), sorted by name — the end-to-end phase breakdown
-    recorded into [BENCH_*.json]. *)
+    histograms), sorted by name — the end-to-end phase breakdown of a
+    run. *)
 
 val write_trace : string -> unit
 val write_jsonl : string -> unit

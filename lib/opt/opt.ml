@@ -406,7 +406,10 @@ let combine_stats results =
    Filtering exports to literals below the base-variable count is
    therefore a sound sharing criterion, even though workers probe
    different bounds at different times. *)
-let install_sharing pool ~share_lbd ~origin ctx =
+(* learnt clauses of LBD at most this (or binary) are exported *)
+let share_lbd = 4
+
+let install_sharing pool ~origin ctx =
   let s = Bv.solver ctx in
   let threshold = Solver.n_vars s in
   Solver.set_export_hook s
@@ -444,8 +447,7 @@ let install_sharing pool ~share_lbd ~origin ctx =
 type cube_close = { cb_lb : int; cb_closed : bool }
 
 let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
-    ?max_conflicts ?budget ?(gap_tol = 0.) ?(share = true) ?(share_lbd = 4)
-    ?split_vars ?(presolve_conflicts = 500)
+    ?max_conflicts ?budget ?(gap_tol = 0.) ?split_vars ?(presolve_conflicts = 500)
     ~(build : unit -> Bv.ctx * Bv.t) ~(on_sat : Bv.ctx -> int -> 'a) () =
   let t0 = Unix.gettimeofday () in
   let seq () =
@@ -503,7 +505,7 @@ let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
       let stats = empty_stats () in
       let ctx, cost = build () in
       Solver.set_config (Bv.solver ctx) config;
-      if share then install_sharing pool ~share_lbd ~origin:w ctx;
+      install_sharing pool ~origin:w ctx;
       let stop () =
         match wbudget with Some b -> Budget.exhausted b | None -> false
       in
@@ -659,7 +661,6 @@ let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
    several domains and must be thread-safe. *)
 let minimize ?mode ?(jobs = 1) ?(parallel = `Portfolio) ?split_vars
     ?assumptions ?persist_bounds ?refine ?max_conflicts ?budget ?(gap_tol = 0.)
-    ?(share = true) ?(share_lbd = 4)
     ~(build : unit -> Bv.ctx * Bv.t) ~(on_sat : Bv.ctx -> int -> 'a) () =
   if jobs <= 1 then
     minimize_seq ?mode ?assumptions ?persist_bounds ?refine ?max_conflicts
@@ -669,16 +670,14 @@ let minimize ?mode ?(jobs = 1) ?(parallel = `Portfolio) ?split_vars
        forced off inside each cube) and requires a dedicated session,
        which every current caller of [jobs > 1] provides *)
     minimize_cubes ~jobs ?assumptions ?refine ?max_conflicts ?budget ~gap_tol
-      ~share ~share_lbd ?split_vars ~build ~on_sat ()
+      ?split_vars ~build ~on_sat ()
   else begin
     let t0 = Unix.gettimeofday () in
     let pool = Portfolio.Pool.create () in
-    let build_for i =
-      if not share then build
-      else fun () ->
-        let ctx, cost = build () in
-        install_sharing pool ~share_lbd ~origin:i ctx;
-        (ctx, cost)
+    let build_for i () =
+      let ctx, cost = build () in
+      install_sharing pool ~origin:i ctx;
+      (ctx, cost)
     in
     let acceptable (a : _ anytime) =
       match a.resolution with

@@ -84,8 +84,6 @@ val minimize :
   ?max_conflicts:int ->
   ?budget:Budget.t ->
   ?gap_tol:float ->
-  ?share:bool ->
-  ?share_lbd:int ->
   build:(unit -> Bv.ctx * Bv.t) ->
   on_sat:(Bv.ctx -> int -> 'a) ->
   unit ->
@@ -152,15 +150,14 @@ val minimize :
     [budget] and its user hook.  [jobs = 1] is exactly the sequential
     search, bit for bit.
 
-    With [share] (default on) portfolio workers also exchange learnt
-    clauses of LBD at most [share_lbd] (default 4) or binary size,
-    restricted to variables of the base encoding — such clauses are
-    consequences of the shared formula and of already-proved lower
-    bounds, so they transfer soundly even between workers probing
-    different cost bounds.  This relies on [build] constructing the
-    same formula with the same variable numbering in every worker (the
-    same contract [Fresh] mode already imposes across probes); pass
-    [~share:false] if [build] is not deterministic. *)
+    Parallel workers also exchange learnt clauses of LBD at most 4 or
+    binary size, restricted to variables of the base encoding — such
+    clauses are consequences of the shared formula and of
+    already-proved lower bounds, so they transfer soundly even between
+    workers probing different cost bounds.  This relies on [build]
+    constructing the same formula with the same variable numbering in
+    every worker (the same contract [Fresh] mode already imposes
+    across probes). *)
 
 (** Outcome of a single feasibility check. *)
 type 'a feasibility =

@@ -15,7 +15,7 @@
 
    - ECU failures that doom no task never re-encode: the failure is
      the standing assumption set {not sel(t, failed) | t}, so the warm
-     path costs zero encodes (the >= 2x win of BENCH_repair);
+     path costs zero encodes;
 
    - when the disrupted problem is infeasible, the degradation ladder
      sheds tasks of criticality below the highest level present —
@@ -386,6 +386,8 @@ let find_medium t name =
     (fun (m : Model.medium) ->
       if m.Model.med_name = name then Some m.Model.med_id else None)
     t.cur.Model.arch.Model.media
+
+let whatif t = Explain.Whatif.of_session ~extra:t.sess_extra t.cur t.sess
 
 (* -- the solve core ----------------------------------------------------- *)
 

@@ -165,6 +165,12 @@ val find_task : t -> string -> int option
 
 val find_medium : t -> string -> int option
 
+val whatif : t -> Taskalloc_explain.Explain.Whatif.t
+(** What-if queries against {!problem}, answered on the session the
+    last repair solved (or the one {!create} built), with the standing
+    ECU-failure assumptions of warm repairs assumed on every query: no
+    re-encoding, and everything the repair learnt prunes the queries. *)
+
 val repair :
   ?budget:Budget.t ->
   ?allow_shed:bool ->

@@ -90,15 +90,19 @@ type bundle = {
 type session = {
   sid : string;
   soptions : Encode.options;
-  mutable sbundle : bundle option;  (* [Some] until the problem diverges *)
+  mutable swhatif : whatif;
   mutable sproblem : Model.problem;  (* current (post-repair) problem *)
-  mutable sown : W.t option;  (* private what-if session once diverged *)
   mutable srepair : Repair.t option;
   mutable salloc : Model.allocation option;  (* allocation in force *)
   slock : Mutex.t;
   mutable slast : float;
   mutable sclosed : bool;
 }
+
+(* where a session's what-if queries run *)
+and whatif =
+  | Shared of bundle  (* the cached encoding, while the problem is pristine *)
+  | Repaired of W.t  (* the session the last repair solved *)
 
 type reply = { rm : Mutex.t; rc : Condition.t; mutable rv : Json.t option }
 
@@ -369,11 +373,14 @@ let trim_cache t =
   with Done -> ()
 
 (* under [tmu] *)
-let release_bundle t = function
-  | None -> ()
-  | Some b ->
-    b.brefs <- b.brefs - 1;
-    trim_cache t
+let release_bundle t b =
+  b.brefs <- b.brefs - 1;
+  trim_cache t
+
+(* under [tmu] and [slock], once per session: it is closing or being
+   evicted, and drops its reference to the shared bundle *)
+let release_session t s =
+  match s.swhatif with Shared b -> release_bundle t b | Repaired _ -> ()
 
 (* -- session table ------------------------------------------------------ *)
 
@@ -399,10 +406,7 @@ let evict_lru t =
       if Mutex.try_lock s.slock then begin
         Hashtbl.remove t.sessions s.sid;
         s.sclosed <- true;
-        release_bundle t s.sbundle;
-        s.sbundle <- None;
-        s.sown <- None;
-        s.srepair <- None;
+        release_session t s;
         Mutex.unlock s.slock;
         t.evictions <- t.evictions + 1;
         Obs.Metrics.incr "server.evictions";
@@ -430,33 +434,20 @@ let with_session t req f =
             f s
           end))
 
-(* the session's live what-if machinery: the shared bundle while the
-   problem is pristine, a private session after divergence (built
-   lazily against the current problem) *)
+(* under [slock]: run [f] on the session's live what-if machinery *)
 let with_whatif s f =
-  match s.sbundle with
-  | Some b -> with_lock b.block (fun () -> f b.bwhatif)
-  | None ->
-    let w =
-      match s.sown with
-      | Some w -> w
-      | None ->
-        let w = W.create ~options:s.soptions s.sproblem in
-        s.sown <- Some w;
-        w
-    in
-    f w
+  match s.swhatif with
+  | Shared b -> with_lock b.block (fun () -> f b.bwhatif)
+  | Repaired w -> f w
 
 (* called under [slock] after a successful repair: the session's
-   problem no longer matches the shared encoding *)
-let detach t s =
-  (match s.sbundle with
-  | Some _ ->
-    with_lock t.tmu (fun () ->
-        release_bundle t s.sbundle;
-        s.sbundle <- None)
-  | None -> ());
-  s.sown <- None
+   problem no longer matches the shared encoding, so its what-if
+   queries move to the session the repair just solved *)
+let detach t s r =
+  (match s.swhatif with
+  | Shared b -> with_lock t.tmu (fun () -> release_bundle t b)
+  | Repaired _ -> ());
+  s.swhatif <- Repaired (Repair.whatif r)
 
 (* -- request parameters ------------------------------------------------- *)
 
@@ -593,7 +584,7 @@ let do_open t job =
           if Hashtbl.length t.sessions >= t.cfg.max_sessions then
             ignore (evict_lru t);
           if Hashtbl.length t.sessions >= t.cfg.max_sessions then begin
-            release_bundle t (Some bundle);
+            release_bundle t bundle;
             Error
               (err ~code:"overloaded"
                  "session table full (%d sessions, all busy)"
@@ -606,9 +597,8 @@ let do_open t job =
               {
                 sid;
                 soptions = options;
-                sbundle = Some bundle;
+                swhatif = Shared bundle;
                 sproblem = problem;
-                sown = None;
                 srepair = None;
                 salloc = None;
                 slock = Mutex.create ();
@@ -791,7 +781,7 @@ let do_repair t job =
                 s.sproblem <- Repair.problem r;
                 s.salloc <- Some (Repair.allocation r);
                 (* the problem diverged from the shared encoding *)
-                detach t s
+                detach t s r
               | Repair.Irreparable _ | Repair.Unknown -> ());
               ok
                 [
@@ -819,10 +809,7 @@ let do_close t req =
       (* waits for the session's in-flight request, if any *)
       with_lock s.slock (fun () ->
           s.sclosed <- true;
-          with_lock t.tmu (fun () -> release_bundle t s.sbundle);
-          s.sbundle <- None;
-          s.sown <- None;
-          s.srepair <- None);
+          with_lock t.tmu (fun () -> release_session t s));
       ok [ ("closed", Json.Str sid) ])
 
 (* -- stats -------------------------------------------------------------- *)

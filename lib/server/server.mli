@@ -3,9 +3,8 @@
     what-if / explain / repair traffic over a newline-delimited JSON
     protocol (Unix-domain socket by default, TCP optionally).
 
-    Why a server at all: [BENCH_explain.json] shows incremental
-    what-if re-solves are ~6x faster than fresh solves and
-    [BENCH_repair.json] shows warm repair is >= 2x faster — wins that
+    Why a server at all: incremental what-if re-solves and warm
+    repairs skip the encode and reuse every learnt clause — wins that
     only compound when the encoded formula and its solver stay
     resident between requests.  The daemon keeps them resident:
 
@@ -24,8 +23,9 @@
       {!Taskalloc_explain.Explain.Whatif} session, so the second
       client's [open] is a cache hit that pays no encode.  A session
       whose problem diverges from the shared bundle (a successful
-      [repair] changes the problem) detaches first; shared state never
-      tears.
+      [repair] changes the problem) detaches first and answers later
+      what-if queries on the session the repair solved
+      ({!Taskalloc_repair.Repair.whatif}); shared state never tears.
     - {b Concurrency.}  A fixed pool of OCaml 5 domains executes
       requests.  Requests on one session (or on one shared bundle)
       serialize under that session's mutex — the incremental-solver

@@ -477,7 +477,18 @@ let test_named_workloads_agree base () =
       ("small-can", Workloads.small_can ~seed:1 (), Encode.Min_bus_load 0);
       ("small-hier", Workloads.small_hierarchical Workloads.C, Encode.Min_sum_trt);
       ("tasks12", Workloads.task_scaling ~n:12 (), Encode.Min_trt 0);
-    ]
+    ];
+  (* the formula a lazy solve starts from, against the paper's full
+     transformation, on tasks12 *)
+  let tasks12 = Workloads.task_scaling ~n:12 () in
+  let size options =
+    let enc = Encode.encode ~options tasks12 (Encode.Min_trt 0) in
+    (Encode.n_bool_vars enc, Encode.n_literals enc)
+  in
+  Alcotest.(check (pair int int)) "tasks12: eager vars, lits" (9409, 66794)
+    (size (eager base));
+  Alcotest.(check (pair int int)) "tasks12: lazy abstraction vars, lits"
+    (1047, 5928) (size (lazy_ base))
 
 (* every case that builds its eager and lazy sides from [base] *)
 let cases base =

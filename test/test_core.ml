@@ -238,13 +238,26 @@ let test_cnf_pb_agrees options () =
   | Some a, Some b -> Alcotest.(check int) "same optimum" a.cost b.cost
   | _ -> Alcotest.fail "both PB modes should be feasible"
 
+(* Both probe modes prove the same optimum.  On tasks12 the §5.2
+   ablation also holds on the default configuration: reusing learnt
+   clauses across BIN_SEARCH probes needs fewer conflicts than a fresh
+   solver per probe. *)
 let test_fresh_mode_agrees options () =
-  let problem = quickstart_problem () in
-  let incr = solve ~options problem (Encode.Min_trt 0) in
-  let fresh = solve ~options ~mode:Taskalloc_opt.Opt.Fresh problem (Encode.Min_trt 0) in
-  match (incr, fresh) with
-  | Some a, Some b -> Alcotest.(check int) "same optimum" a.cost b.cost
-  | _ -> Alcotest.fail "both modes should be feasible"
+  List.iter
+    (fun (name, problem) ->
+      let incr = solve ~options problem (Encode.Min_trt 0) in
+      let fresh = solve ~options ~mode:Taskalloc_opt.Opt.Fresh problem (Encode.Min_trt 0) in
+      match (incr, fresh) with
+      | Some a, Some b ->
+        Alcotest.(check int) (name ^ ": same optimum") a.cost b.cost;
+        if name = "tasks12" && options = Encode.default_options then
+          Alcotest.(check bool)
+            (Printf.sprintf "tasks12: incremental conflicts %d < fresh %d"
+               a.stats.Taskalloc_opt.Opt.conflicts b.stats.Taskalloc_opt.Opt.conflicts)
+            true
+            (a.stats.Taskalloc_opt.Opt.conflicts < b.stats.Taskalloc_opt.Opt.conflicts)
+      | _ -> Alcotest.fail (name ^ ": both modes should be feasible"))
+    [ ("quickstart", quickstart_problem ()); ("tasks12", Workloads.task_scaling ~n:12 ()) ]
 
 let test_max_util_objective options () =
   let problem = Workloads.small ~seed:5 ~n_ecus:3 ~n_tasks:6 () in

@@ -59,6 +59,28 @@ let overconstrained () =
         mk_task 4 "watchdog" 100 90 [ (0, 5); (1, 5) ];
       ]
 
+(* The same pigeonhole at scale: [n] heavy tasks on [n - 1] ECUs,
+   padded with [n] light tasks that fit anywhere. *)
+let pigeonhole n =
+  let n_ecus = n - 1 in
+  let arch =
+    {
+      arch2 with
+      Model.n_ecus;
+      media =
+        List.map
+          (fun m -> { m with Model.ecus = List.init n_ecus Fun.id })
+          arch2.Model.media;
+      mem_capacity = Array.make n_ecus 1000;
+    }
+  in
+  let on_all w = List.init n_ecus (fun e -> (e, w)) in
+  Model.make_problem ~arch
+    ~tasks:
+      (List.init (2 * n) (fun i ->
+           if i < n then mk_task i (Printf.sprintf "heavy%d" i) 100 20 (on_all 15)
+           else mk_task i (Printf.sprintf "light%d" (i - n)) 100 90 (on_all 2)))
+
 let feasible_problem () =
   Model.make_problem ~arch:arch2
     ~tasks:
@@ -133,19 +155,28 @@ let test_core_unsat_in_isolation options () =
     (assume_groups assume selector_of ids = Solver.Unsat)
 
 let test_core_minimality options () =
-  (* deletion oracle: dropping any single group from the MUS is Sat *)
-  let problem = overconstrained () in
-  let report = Explain.explain ~options problem in
-  let ids = core_ids report.Explain.status in
-  let assume, selector_of = fresh_session ~options problem in
+  (* deletion oracle on a fresh encoding: the MUS is unsat and dropping
+     any single group from it is Sat *)
   List.iter
-    (fun dropped ->
-      let rest = List.filter (fun id -> id <> dropped) ids in
-      Alcotest.(check bool)
-        ("sat without " ^ dropped)
-        true
-        (assume_groups assume selector_of rest = Solver.Sat))
-    ids
+    (fun problem ->
+      let report = Explain.explain ~options problem in
+      (match report.Explain.status with
+      | Explain.Explained { minimal; _ } ->
+        Alcotest.(check bool) "proven minimal" true minimal
+      | _ -> Alcotest.fail "expected Explained");
+      let ids = core_ids report.Explain.status in
+      let assume, selector_of = fresh_session ~options problem in
+      Alcotest.(check bool) "core unsat" true
+        (assume_groups assume selector_of ids = Solver.Unsat);
+      List.iter
+        (fun dropped ->
+          let rest = List.filter (fun id -> id <> dropped) ids in
+          Alcotest.(check bool)
+            ("sat without " ^ dropped)
+            true
+            (assume_groups assume selector_of rest = Solver.Sat))
+        ids)
+    [ overconstrained (); pigeonhole 5 ]
 
 let test_core_minimality_lazy () =
   (* the CEGAR encoding must reproduce the eager diagnosis: the same

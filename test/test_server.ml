@@ -350,15 +350,22 @@ let test_repair_then_whatif options () =
         Json.to_str (Json.member "status" (Json.member "outcome" r))
       in
       Alcotest.(check (option string)) "repaired" (Some "repaired") status;
-      (* the session diverged from the shared bundle; what-if must now
-         answer against the post-repair problem without error *)
-      check_ok "whatif after repair"
-        (req c
-           [
-             ("kind", Json.Str "whatif");
-             ("session", Json.Str sid);
-             ("deltas", Json.Str "");
-           ]);
+      (* the session diverged from the shared bundle; what-if now
+         answers against the post-repair problem on the session the
+         repair just solved, not on a fresh encoding of it *)
+      let w =
+        req c
+          [
+            ("kind", Json.Str "whatif");
+            ("session", Json.Str sid);
+            ("deltas", Json.Str "");
+          ]
+      in
+      check_ok "whatif after repair" w;
+      Alcotest.(check bool)
+        "what-if runs on the repair's session" true
+        (Option.value ~default:0 (Json.to_int (Json.member "session_solves" w))
+        > 1);
       Client.close c)
 
 (* -- concurrency --------------------------------------------------------- *)

@@ -3,6 +3,7 @@
 
 open Taskalloc_rt
 open Taskalloc_workloads
+module Encode = Taskalloc_core.Encode
 
 let count_messages problem =
   Array.length (Model.all_messages problem)
@@ -62,20 +63,46 @@ let test_witness_feasibility options () =
           Alcotest.fail (Printf.sprintf "seed %d generated infeasible" seed)))
     [ 1; 2; 3; 4 ]
 
+(* Tables 2 and 3 of the paper: the formula (eager encoding, TRT
+   objective) grows strictly in both variables and literals as tasks or
+   ECUs are added.  The exact sizes pin the encoder at the default
+   seed. *)
+let check_formula_growth what expected problems =
+  let sizes =
+    List.map
+      (fun problem ->
+        let enc = Encode.encode problem (Encode.Min_trt 0) in
+        (Encode.n_bool_vars enc, Encode.n_literals enc))
+      problems
+  in
+  Alcotest.(check (list (pair int int))) (what ^ ": vars, lits") expected sizes;
+  let rec increasing = function
+    | (v, l) :: ((v', l') :: _ as rest) -> v < v' && l < l' && increasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) (what ^ ": vars and lits grow strictly") true
+    (increasing sizes)
+
 let test_task_scaling_sizes () =
-  List.iter
-    (fun n ->
-      let problem = Workloads.task_scaling ~n () in
+  let ns = [ 7; 12; 20 ] in
+  let problems = List.map (fun n -> Workloads.task_scaling ~n ()) ns in
+  List.iter2
+    (fun n problem ->
       Alcotest.(check int) (Printf.sprintf "%d tasks" n) n (Array.length problem.Model.tasks))
-    [ 7; 12; 20 ]
+    ns problems;
+  check_formula_growth "tasks 7/12/20"
+    [ (4172, 29128); (9409, 66794); (24054, 164269) ]
+    problems
 
 let test_arch_scaling_sizes () =
-  List.iter
-    (fun n_ecus ->
-      let problem = Workloads.arch_scaling ~n_ecus () in
+  let ecus = [ 8; 16 ] in
+  let problems = List.map (fun n_ecus -> Workloads.arch_scaling ~n_ecus ()) ecus in
+  List.iter2
+    (fun n_ecus problem ->
       Alcotest.(check int) "30 tasks" 30 (Array.length problem.Model.tasks);
       Alcotest.(check int) "ecus" n_ecus problem.Model.arch.Model.n_ecus)
-    [ 8; 16 ]
+    ecus problems;
+  check_formula_growth "ECUs 8/16" [ (54158, 377371); (83630, 515004) ] problems
 
 let test_hierarchical_architectures () =
   let a = Workloads.hierarchical ~n_tasks:8 Workloads.A in
