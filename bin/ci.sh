@@ -5,6 +5,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# valid_json WHAT [--json-lines] < FILE: the input must parse as one
+# JSON document (or, with --json-lines, one per non-empty line); a
+# no-op where python3 is missing
+valid_json() {
+    what=$1; shift
+    command -v python3 >/dev/null 2>&1 || return 0
+    python3 -m json.tool "$@" > /dev/null || {
+        echo "FAIL: $what is not valid JSON"; exit 1; }
+}
+
 echo "== dune build @check =="
 dune build @check
 
@@ -219,6 +229,10 @@ echo "$out" | grep -q "INFEASIBLE" || {
     echo "FAIL: explain did not report infeasibility"; echo "$out"; exit 1; }
 echo "$out" | grep -q "deadline of" || {
     echo "FAIL: explain core did not name a deadline group"; echo "$out"; exit 1; }
+rc=0
+out=$(dune exec bin/taskalloc.exe -- explain --json --file examples/overconstrained.prob) || rc=$?
+[ "$rc" -eq 1 ] || { echo "FAIL: explain --json: expected exit 1, got $rc"; exit 1; }
+printf '%s\n' "$out" | valid_json "explain --json"
 
 # what-if round trip on one live session: the baseline is infeasible,
 # dropping one fusion deadline is feasible, and the baseline re-asked
@@ -232,6 +246,9 @@ echo "$out" | grep -q "query 2 \[drop deadline fusion-a\]: FEASIBLE" || {
     echo "FAIL: relaxed what-if not feasible"; echo "$out"; exit 1; }
 echo "$out" | grep -c "INFEASIBLE" | grep -q "^2$" || {
     echo "FAIL: repeated baseline did not return to infeasible"; echo "$out"; exit 1; }
+dune exec bin/taskalloc.exe -- whatif --json --file examples/overconstrained.prob \
+    --query "" --query "drop deadline fusion-a" --query "" \
+    | valid_json "whatif --json" --json-lines
 
 # assumption cores over the DIMACS front end: assuming 1 and 2 against
 # (~1 | ~2) is Unsat with a "c core" line naming the culprits
@@ -257,6 +274,8 @@ echo "$out" | grep -q "REPAIRED" || {
     echo "FAIL: scenario repair did not report a repair"; echo "$out"; exit 1; }
 echo "$out" | grep -q "shed" || {
     echo "FAIL: final failure did not engage the degradation ladder"; echo "$out"; exit 1; }
+dune exec bin/taskalloc.exe -- repair --json --scenario examples/disruption.scen \
+    | valid_json "repair --json" --json-lines
 
 # with shedding disabled the last failure is irreparable (exit 1), and
 # a zero conflict budget yields a clean Unknown (exit 4) — never an
@@ -307,6 +326,9 @@ grep -q '"solver.progress_samples"' "$metrics" || {
     echo "FAIL: metrics missing solver progress samples"; exit 1; }
 [ -s "${trace%.json}.jsonl" ] || {
     echo "FAIL: JSONL sibling of the trace not written"; exit 1; }
+valid_json "trace file" < "$trace"
+valid_json "metrics file" < "$metrics"
+valid_json "JSONL event log" --json-lines < "${trace%.json}.jsonl"
 rm -f "$trace" "${trace%.json}.jsonl" "$metrics"
 
 # bench smoke: every bench check prints a verdict line and a violated
@@ -555,10 +577,7 @@ while [ ! -s "$dflight" ]; do
     [ "$i" -le 100 ] || { echo "FAIL: flight dump never appeared"; exit 1; }
     sleep 0.1
 done
-if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool < "$dflight" > /dev/null || {
-        echo "FAIL: flight dump is not valid JSON"; exit 1; }
-fi
+valid_json "flight dump" < "$dflight"
 grep -q '"traceEvents"' "$dflight" || {
     echo "FAIL: flight dump missing traceEvents"; exit 1; }
 grep -q '"server\.' "$dflight" || {

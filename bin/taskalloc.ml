@@ -146,6 +146,7 @@ let parallel_arg =
 (* -- observability ------------------------------------------------------ *)
 
 module Obs = Taskalloc_obs.Obs
+module Json = Taskalloc_json.Json
 
 let trace_arg =
   Arg.(
@@ -530,7 +531,8 @@ let explain_cmd =
       Taskalloc_explain.Explain.explain ~jobs ?budget ~max_relaxations:max_relax
         problem
     in
-    if json then print_endline (Taskalloc_explain.Explain.report_to_json report)
+    if json then
+      print_endline (Json.to_string (Taskalloc_explain.Explain.report_to_json report))
     else Fmt.pr "%a@." Taskalloc_explain.Explain.pp_report report;
     match report.Taskalloc_explain.Explain.status with
     | Taskalloc_explain.Explain.Feasible -> ()
@@ -593,7 +595,7 @@ let whatif_cmd =
         in
         let verdict = W.query ?budget session ds in
         let label = if q = "" then "baseline" else q in
-        if json then Fmt.pr "%s@." (W.verdict_to_json session verdict)
+        if json then Fmt.pr "%s@." (Json.to_string (W.verdict_to_json session verdict))
         else
           match verdict with
           | W.Feasible { allocation; relaxed } ->
@@ -727,7 +729,7 @@ let repair_cmd =
             Fmt.epr "event %d: %s@." (i + 1) m;
             exit 2
         in
-        if json then Fmt.pr "%s@." (Repair.outcome_to_json outcome)
+        if json then Fmt.pr "%s@." (Json.to_string (Repair.outcome_to_json outcome))
         else begin
           Fmt.pr "@[<v>t=%d  %a@,%a@]@." at (Repair.pp_event before) event
             (Repair.pp_outcome before) outcome
@@ -805,7 +807,6 @@ let repair_cmd =
       $ json_arg $ trace_arg $ metrics_arg $ progress_arg)
 
 let client_cmd =
-  let module Json = Taskalloc_server.Json in
   let module Client = Taskalloc_server.Client in
   let run socket tcp watch cancel requests =
     let listen =

@@ -325,24 +325,20 @@ let pp_report ppf r =
 
 (* -- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Taskalloc_json.Json
 
 let group_json g =
-  Printf.sprintf "{\"id\":\"%s\",\"descr\":\"%s\"}"
-    (json_escape (Encode.group_id g))
-    (json_escape g.Encode.descr)
+  Json.Obj [ ("id", Json.Str (Encode.group_id g)); ("descr", Json.Str g.Encode.descr) ]
+
+let groups_json gs = Json.List (List.map group_json gs)
+
+let placement_json problem (alloc : Model.allocation) =
+  Json.List
+    (Array.to_list
+       (Array.mapi
+          (fun i e ->
+            Json.List [ Json.Str problem.Model.tasks.(i).Model.task_name; Json.Int e ])
+          alloc.Model.task_ecu))
 
 let report_to_json r =
   let status, minimal, core =
@@ -351,15 +347,15 @@ let report_to_json r =
     | Unknown -> ("unknown", false, [])
     | Explained { core; minimal } -> ("infeasible", minimal, core)
   in
-  Printf.sprintf
-    "{\"status\":\"%s\",\"minimal\":%b,\"core\":[%s],\"relaxations\":[%s],\"solves\":%d,\"time_s\":%.6f}"
-    status minimal
-    (String.concat "," (List.map group_json core))
-    (String.concat ","
-       (List.map
-          (fun set -> "[" ^ String.concat "," (List.map group_json set) ^ "]")
-          r.relaxations))
-    r.solves r.time_s
+  Json.Obj
+    [
+      ("status", Json.Str status);
+      ("minimal", Json.Bool minimal);
+      ("core", groups_json core);
+      ("relaxations", Json.List (List.map groups_json r.relaxations));
+      ("solves", Json.Int r.solves);
+      ("time_s", Json.Float r.time_s);
+    ]
 
 (* -- incremental what-if sessions --------------------------------------- *)
 
@@ -618,23 +614,18 @@ module Whatif = struct
   let verdict_to_json t v =
     match v with
     | Feasible { allocation; relaxed } ->
-      let placement =
-        Array.to_list allocation.Model.task_ecu
-        |> List.mapi (fun i e ->
-               Printf.sprintf "[\"%s\",%d]"
-                 (json_escape t.problem.Model.tasks.(i).Model.task_name)
-                 e)
-        |> String.concat ","
-      in
-      Printf.sprintf "{\"status\":\"feasible\",\"relaxed\":%b,\"placement\":[%s]}"
-        relaxed placement
-    | Unknown -> "{\"status\":\"unknown\"}"
+      Json.Obj
+        [
+          ("status", Json.Str "feasible");
+          ("relaxed", Json.Bool relaxed);
+          ("placement", placement_json t.problem allocation);
+        ]
+    | Unknown -> Json.Obj [ ("status", Json.Str "unknown") ]
     | Infeasible { groups; deltas } ->
-      Printf.sprintf
-        "{\"status\":\"infeasible\",\"core_groups\":[%s],\"core_deltas\":[%s]}"
-        (String.concat "," (List.map group_json groups))
-        (String.concat ","
-           (List.map
-              (fun d -> "\"" ^ json_escape (describe t d) ^ "\"")
-              deltas))
+      Json.Obj
+        [
+          ("status", Json.Str "infeasible");
+          ("core_groups", groups_json groups);
+          ("core_deltas", Json.List (List.map (fun d -> Json.Str (describe t d)) deltas));
+        ]
 end

@@ -114,7 +114,15 @@ val explain :
     [max_relaxations] (default 3) caps the correction sets reported. *)
 
 val pp_report : Format.formatter -> report -> unit
-val report_to_json : report -> string
+val report_to_json : report -> Taskalloc_json.Json.t
+
+val groups_json : Encode.group list -> Taskalloc_json.Json.t
+(** [[{"id": ..., "descr": ...}, ...]], the form every JSON answer names
+    constraint groups in. *)
+
+val placement_json : Model.problem -> Model.allocation -> Taskalloc_json.Json.t
+(** [[["task name", ecu], ...]] in task order, the placement of every
+    JSON answer that carries an allocation. *)
 
 (** Incremental what-if sessions: one grouped encoding and one solver
     kept alive across queries, each query a set of deltas installed as
@@ -183,5 +191,5 @@ module Whatif : sig
       ["drop capacity <ecu>"], ["drop msg-deadline <id>"].  Tasks may
       be named or numbered. *)
 
-  val verdict_to_json : t -> verdict -> string
+  val verdict_to_json : t -> verdict -> Taskalloc_json.Json.t
 end

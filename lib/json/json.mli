@@ -1,17 +1,16 @@
-(** Minimal JSON for the wire protocol of [taskallocd].
+(** The one JSON codec of the library.
 
-    The toolchain carries no JSON library, and the serving layer needs
-    both directions: the daemon parses newline-delimited request
-    objects and prints response objects; the client and the tests
-    parse responses back.  This module is deliberately small — exactly
-    the JSON subset the protocol uses — and self-contained.
-
-    The {!Raw} constructor exists for composition with the JSON
-    emitters the explanation and repair engines already export
-    ([Explain.report_to_json], [Whatif.verdict_to_json],
-    [Repair.outcome_to_json] return pre-rendered strings): a response
-    can embed those verbatim without re-modelling their schemas.
-    {!parse} never produces [Raw]. *)
+    The toolchain carries no JSON library.  Every JSON document the
+    project reads or writes goes through this module: the daemon's
+    newline-delimited wire protocol (requests parsed, responses
+    printed), the CLIs' [--json] answers (explanation reports, what-if
+    verdicts, repair outcomes), and the observability files (Chrome
+    traces, JSONL event logs, metrics snapshots, flight-recorder
+    dumps).  Emitters build a {!t} and print it with {!to_string};
+    readers, the tests included, go through {!parse}.  The module is
+    deliberately small (exactly the JSON subset those documents use)
+    and depends on nothing, so it sits at the bottom of the library
+    graph. *)
 
 type t =
   | Null
@@ -21,9 +20,6 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
-  | Raw of string
-      (** a pre-rendered JSON document, emitted verbatim by
-          {!to_string}; never produced by {!parse} *)
 
 exception Parse_error of string
 
@@ -37,8 +33,12 @@ val parse : string -> t
 
 val to_string : t -> string
 (** Serialize on one line (no newlines are ever emitted, so a document
-    is always wire-safe for the newline-delimited protocol).
-    Non-finite floats serialize as [null]. *)
+    is always wire-safe for the newline-delimited protocol).  A finite
+    float prints with [%.15g], or with [%.17g] when the shorter form
+    would not read back as the same float, so {!parse} recovers it
+    exactly; an integral float may print without a ['.'] and then
+    parses back as {!Int} ({!to_float} accepts both).  Non-finite
+    floats serialize as [null]. *)
 
 val member : string -> t -> t
 (** Field of an object; {!Null} when absent or when the value is not

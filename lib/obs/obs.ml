@@ -336,21 +336,7 @@ let emit_sample name kvs =
 
 (* ---- JSON emission ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Taskalloc_json.Json
 
 let all_events () =
   List.rev !events_rev |> List.stable_sort (fun a b -> compare a.ev_ts b.ev_ts)
@@ -377,45 +363,38 @@ let request_ids () =
     (all_events ());
   List.rev !acc
 
-let attrs_json attrs =
-  String.concat ", "
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
-       attrs)
+(* microseconds to the nanosecond: Chrome trace timestamps need no
+   more, and the shorter numbers keep the files readable *)
+let us x = Json.Float (Float.round (x *. 1000.) /. 1000.)
 
 let event_json ev =
-  let common =
-    Printf.sprintf "\"name\": \"%s\", \"pid\": 1, \"tid\": %d, \"ts\": %.3f"
-      (json_escape ev.ev_name) ev.ev_tid ev.ev_ts
+  let phase =
+    if ev.ev_dur >= 0. then [ ("ph", Json.Str "X"); ("dur", us ev.ev_dur) ]
+    else if ev.ev_dur = -1. then [ ("ph", Json.Str "i"); ("s", Json.Str "t") ]
+    else [ ("ph", Json.Str "C") ]
   in
-  let args = Printf.sprintf "\"args\": {%s}" (attrs_json ev.ev_attrs) in
-  if ev.ev_dur >= 0. then
-    Printf.sprintf "{%s, \"ph\": \"X\", \"dur\": %.3f, %s}" common ev.ev_dur args
-  else if ev.ev_dur = -1. then
-    Printf.sprintf "{%s, \"ph\": \"i\", \"s\": \"t\", %s}" common args
-  else Printf.sprintf "{%s, \"ph\": \"C\", %s}" common args
+  Json.Obj
+    ([
+       ("name", Json.Str ev.ev_name);
+       ("pid", Json.Int 1);
+       ("tid", Json.Int ev.ev_tid);
+       ("ts", us ev.ev_ts);
+     ]
+    @ phase
+    @ [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) ev.ev_attrs)) ])
 
-let trace_json ?request () =
-  let evs = events ?request () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n  ";
-      Buffer.add_string buf (event_json ev))
-    evs;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+let chrome_trace evs =
+  Json.Obj
+    [
+      ("displayTimeUnit", Json.Str "ms");
+      ("traceEvents", Json.List (List.map event_json evs));
+    ]
+
+let trace_json ?request () = chrome_trace (events ?request ())
 
 let jsonl () =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      Buffer.add_string buf (event_json ev);
-      Buffer.add_char buf '\n')
-    (events ());
-  Buffer.contents buf
+  String.concat ""
+    (List.map (fun ev -> Json.to_string (event_json ev) ^ "\n") (events ()))
 
 (* ---- flight recorder ---------------------------------------------------- *)
 
@@ -498,52 +477,45 @@ module Flight = struct
         done;
         List.rev !out)
 
-  (* Chrome trace JSON of the ring, one line (embeddable in the wire
-     protocol's [Raw]); timestamps are rebased to the oldest retained
-     event and scaled to microseconds *)
+  (* the ring as a Chrome trace; timestamps are rebased to the oldest
+     retained event and scaled to microseconds *)
   let dump_json () =
     let evs = snapshot () in
     let t0 = match evs with [] -> 0. | ev :: _ -> ev.ev_ts in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-    List.iteri
-      (fun i ev ->
-        if i > 0 then Buffer.add_string buf ", ";
-        let ev =
-          {
-            ev with
-            ev_ts = Float.max 0. ((ev.ev_ts -. t0) *. 1e6);
-            ev_dur = (if ev.ev_dur >= 0. then ev.ev_dur *. 1e6 else -1.);
-          }
-        in
-        Buffer.add_string buf (event_json ev))
-      evs;
-    Buffer.add_string buf "]}";
-    Buffer.contents buf
+    chrome_trace
+      (List.map
+         (fun ev ->
+           {
+             ev with
+             ev_ts = Float.max 0. ((ev.ev_ts -. t0) *. 1e6);
+             ev_dur = (if ev.ev_dur >= 0. then ev.ev_dur *. 1e6 else -1.);
+           })
+         evs)
 end
 
 let hist_json h =
-  Printf.sprintf
-    "{\"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \"mean\": %.3f, \
-     \"buckets\": [%s]}"
-    (Hist.count h) (Hist.sum h) (Hist.min_value h) (Hist.max_value h)
-    (Hist.mean h)
-    (String.concat ", "
-       (List.map
-          (fun (hi, c) -> Printf.sprintf "{\"le\": %d, \"count\": %d}" hi c)
-          (Hist.buckets h)))
+  Json.Obj
+    [
+      ("count", Json.Int (Hist.count h));
+      ("sum", Json.Int (Hist.sum h));
+      ("min", Json.Int (Hist.min_value h));
+      ("max", Json.Int (Hist.max_value h));
+      ("mean", Json.Float (Hist.mean h));
+      ( "buckets",
+        Json.List
+          (List.map
+             (fun (hi, c) -> Json.Obj [ ("le", Json.Int hi); ("count", Json.Int c) ])
+             (Hist.buckets h)) );
+    ]
 
 let metrics_json () =
-  let kvs fmt l =
-    String.concat ",\n    "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (fmt v)) l)
-  in
-  Printf.sprintf
-    "{\n  \"counters\": {\n    %s\n  },\n  \"gauges\": {\n    %s\n  },\n  \
-     \"histograms\": {\n    %s\n  }\n}\n"
-    (kvs string_of_int (Metrics.counters ()))
-    (kvs string_of_int (Metrics.gauges ()))
-    (kvs hist_json (Metrics.hists ()))
+  let obj f l = Json.Obj (List.map (fun (k, v) -> (k, f v)) l) in
+  Json.Obj
+    [
+      ("counters", obj (fun c -> Json.Int c) (Metrics.counters ()));
+      ("gauges", obj (fun g -> Json.Int g) (Metrics.gauges ()));
+      ("histograms", obj hist_json (Metrics.hists ()));
+    ]
 
 let phase_breakdown () =
   List.filter_map
@@ -560,6 +532,6 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let write_trace path = write_file path (trace_json ())
+let write_trace path = write_file path (Json.to_string (trace_json ()) ^ "\n")
 let write_jsonl path = write_file path (jsonl ())
-let write_metrics path = write_file path (metrics_json ())
+let write_metrics path = write_file path (Json.to_string (metrics_json ()) ^ "\n")

@@ -207,16 +207,17 @@ val request_ids : unit -> string list
 (** Distinct request ids appearing in the recorded events, in order of
     first appearance. *)
 
-val trace_json : ?request:string -> unit -> string
+val trace_json : ?request:string -> unit -> Taskalloc_json.Json.t
 (** Chrome trace-event JSON: [{"traceEvents": [...]}] with ["X"]
     (complete), ["i"] (instant), and ["C"] (counter) phases — loadable
-    in Perfetto / chrome://tracing.  [?request] restricts the trace to
-    one request's events ({!with_request} tagging). *)
+    in Perfetto / chrome://tracing.  [ts] and [dur] are microseconds,
+    rounded to the nanosecond.  [?request] restricts the trace to one
+    request's events ({!with_request} tagging). *)
 
 val jsonl : unit -> string
-(** The same events, one JSON object per line. *)
+(** The same events, one [Json.to_string] object per line. *)
 
-val metrics_json : unit -> string
+val metrics_json : unit -> Taskalloc_json.Json.t
 (** Snapshot of the registry as one JSON object with [counters],
     [gauges], and [histograms] members. *)
 
@@ -228,10 +229,8 @@ val phase_breakdown : unit -> (string * float) list
 val write_trace : string -> unit
 val write_jsonl : string -> unit
 val write_metrics : string -> unit
-
-val json_escape : string -> string
-(** Escape a string for inclusion in a JSON string literal (shared by
-    the emitters above and the CLIs). *)
+(** Write {!trace_json}, {!jsonl} and {!metrics_json} to a file; the
+    trace and the metrics snapshot are one line each. *)
 
 (** {1 Flight recorder}
 
@@ -283,7 +282,7 @@ module Flight : sig
       seconds, [ev_dur] in seconds — unlike the trace-sink events,
       which are in microseconds since the epoch). *)
 
-  val dump_json : unit -> string
-  (** The ring as single-line Chrome trace-event JSON, timestamps
-      rebased to the oldest retained event. *)
+  val dump_json : unit -> Taskalloc_json.Json.t
+  (** The ring as Chrome trace-event JSON, in the format of
+      {!trace_json}, timestamps rebased to the oldest retained event. *)
 end

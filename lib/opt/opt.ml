@@ -371,21 +371,26 @@ let combine_anytime results =
         resolution = Feasible_budget_exhausted;
       }
 
+(* sum [s]'s probe and search counters into [into] and keep the larger
+   formula size; [time_s] is the caller's to merge *)
+let add_stats ~into (s : stats) =
+  into.probes <- into.probes + s.probes;
+  into.sat_probes <- into.sat_probes + s.sat_probes;
+  into.unsat_probes <- into.unsat_probes + s.unsat_probes;
+  into.interrupted_probes <- into.interrupted_probes + s.interrupted_probes;
+  into.conflicts <- into.conflicts + s.conflicts;
+  into.decisions <- into.decisions + s.decisions;
+  into.propagations <- into.propagations + s.propagations;
+  into.bool_vars <- max into.bool_vars s.bool_vars;
+  into.literals <- max into.literals s.literals
+
 let combine_stats results =
   let acc = empty_stats () in
   Array.iter
     (function
       | None -> ()
       | Some (_, (s : stats)) ->
-        acc.probes <- acc.probes + s.probes;
-        acc.sat_probes <- acc.sat_probes + s.sat_probes;
-        acc.unsat_probes <- acc.unsat_probes + s.unsat_probes;
-        acc.interrupted_probes <- acc.interrupted_probes + s.interrupted_probes;
-        acc.conflicts <- acc.conflicts + s.conflicts;
-        acc.decisions <- acc.decisions + s.decisions;
-        acc.propagations <- acc.propagations + s.propagations;
-        acc.bool_vars <- max acc.bool_vars s.bool_vars;
-        acc.literals <- max acc.literals s.literals;
+        add_stats ~into:acc s;
         acc.time_s <- max acc.time_s s.time_s)
     results;
   acc
@@ -544,16 +549,7 @@ let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
                   ~build:(fun () -> (ctx, cost))
                   ~on_sat ())
           in
-          stats.probes <- stats.probes + cube_stats.probes;
-          stats.sat_probes <- stats.sat_probes + cube_stats.sat_probes;
-          stats.unsat_probes <- stats.unsat_probes + cube_stats.unsat_probes;
-          stats.interrupted_probes <-
-            stats.interrupted_probes + cube_stats.interrupted_probes;
-          stats.conflicts <- stats.conflicts + cube_stats.conflicts;
-          stats.decisions <- stats.decisions + cube_stats.decisions;
-          stats.propagations <- stats.propagations + cube_stats.propagations;
-          stats.bool_vars <- max stats.bool_vars cube_stats.bool_vars;
-          stats.literals <- max stats.literals cube_stats.literals;
+          add_stats ~into:stats cube_stats;
           (match a.incumbent with
           | Some (c, p) -> merge_incumbent c p
           | None -> ());
@@ -580,20 +576,7 @@ let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
       Portfolio.race ~jobs ?budget ~worker ~conclusive:(fun _ -> false) ()
     in
     let stats = empty_stats () in
-    Array.iter
-      (function
-        | None -> ()
-        | Some (s : stats) ->
-          stats.probes <- stats.probes + s.probes;
-          stats.sat_probes <- stats.sat_probes + s.sat_probes;
-          stats.unsat_probes <- stats.unsat_probes + s.unsat_probes;
-          stats.interrupted_probes <- stats.interrupted_probes + s.interrupted_probes;
-          stats.conflicts <- stats.conflicts + s.conflicts;
-          stats.decisions <- stats.decisions + s.decisions;
-          stats.propagations <- stats.propagations + s.propagations;
-          stats.bool_vars <- max stats.bool_vars s.bool_vars;
-          stats.literals <- max stats.literals s.literals)
-      race_outcome.Portfolio.results;
+    Array.iter (Option.iter (add_stats ~into:stats)) race_outcome.Portfolio.results;
     (if jobs > 1 then
        match budget with
        | None -> ()
@@ -724,15 +707,3 @@ let minimize ?mode ?(jobs = 1) ?(parallel = `Portfolio) ?split_vars
     in
     (answer, stats)
   end
-
-(* Single feasibility check (no optimization). *)
-type 'a feasibility = Feasible of 'a | No_solution | Undecided
-
-let solve_feasible ?max_conflicts ?(budget = Budget.unlimited ())
-    ~(build : unit -> Bv.ctx) ~(on_sat : Bv.ctx -> 'a) () =
-  let ctx = build () in
-  let s = Bv.solver ctx in
-  match Solver.solve ?max_conflicts ~budget s with
-  | Solver.Sat -> Feasible (on_sat ctx)
-  | Solver.Unsat -> No_solution
-  | Solver.Unknown -> Undecided

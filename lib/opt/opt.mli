@@ -158,18 +158,3 @@ val minimize :
     constructing the same formula with the same variable numbering in
     every worker (the same contract [Fresh] mode already imposes
     across probes). *)
-
-(** Outcome of a single feasibility check. *)
-type 'a feasibility =
-  | Feasible of 'a
-  | No_solution  (** proved infeasible *)
-  | Undecided  (** budget expired first *)
-
-val solve_feasible :
-  ?max_conflicts:int ->
-  ?budget:Budget.t ->
-  build:(unit -> Bv.ctx) ->
-  on_sat:(Bv.ctx -> 'a) ->
-  unit ->
-  'a feasibility
-(** One satisfiability check without optimization. *)

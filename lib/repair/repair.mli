@@ -140,7 +140,7 @@ type outcome =
   | Unknown  (** budget tripped; the state is untouched *)
 
 val pp_outcome : Model.problem -> Format.formatter -> outcome -> unit
-val outcome_to_json : outcome -> string
+val outcome_to_json : outcome -> Taskalloc_json.Json.t
 
 (** {1 Online repair sessions} *)
 

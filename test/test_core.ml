@@ -250,12 +250,29 @@ let test_fresh_mode_agrees options () =
       match (incr, fresh) with
       | Some a, Some b ->
         Alcotest.(check int) (name ^ ": same optimum") a.cost b.cost;
-        if name = "tasks12" && options = Encode.default_options then
+        let conflicts (r : Allocator.result) = r.stats.Taskalloc_opt.Opt.conflicts in
+        if name = "tasks12" && options = Encode.default_options then begin
           Alcotest.(check bool)
-            (Printf.sprintf "tasks12: incremental conflicts %d < fresh %d"
-               a.stats.Taskalloc_opt.Opt.conflicts b.stats.Taskalloc_opt.Opt.conflicts)
+            (Printf.sprintf "tasks12: incremental conflicts %d < fresh %d" (conflicts a)
+               (conflicts b))
             true
-            (a.stats.Taskalloc_opt.Opt.conflicts < b.stats.Taskalloc_opt.Opt.conflicts)
+            (conflicts a < conflicts b);
+          (* exact counts at seed 42: the conflicts the inprocessing
+             scheduler saves, and the formula one round of its passes
+             shrinks (eager encoding, [Min_trt 0]) *)
+          Alcotest.(check (pair int int)) "tasks12: cost 10, 533 conflicts" (10, 533)
+            (a.cost, conflicts a);
+          let enc = Encode.encode problem (Encode.Min_trt 0) in
+          let s = Taskalloc_bv.Bv.solver (Encode.context enc) in
+          let before = Taskalloc_sat.Solver.n_clauses s in
+          let changes = Taskalloc_sat.Inprocess.run_passes s in
+          Alcotest.(check (triple int int int))
+            "tasks12 inprocess passes: clauses, changes" (24_991, 24_520, 363)
+            (before, Taskalloc_sat.Solver.n_clauses s, changes)
+        end;
+        if name = "tasks12" && options = Configs.inprocess then
+          Alcotest.(check (pair int int))
+            "tasks12 with inprocessing: cost 10, 312 conflicts" (10, 312) (a.cost, conflicts a)
       | _ -> Alcotest.fail (name ^ ": both modes should be feasible"))
     [ ("quickstart", quickstart_problem ()); ("tasks12", Workloads.task_scaling ~n:12 ()) ]
 

@@ -9,8 +9,8 @@
    - spans nest and order correctly under a deterministic clock, and a
      span abandoned by an exception still records (traces stay
      well-formed when a Budget stop fires mid-span);
-   - the emitted Chrome-trace / JSONL / metrics JSON parses back (via a
-     tiny JSON reader below);
+   - the emitted Chrome-trace / JSONL / metrics JSON prints and parses
+     back through the library's one codec, [Json];
    - solver counters are cumulative across incremental solves while
      [Solver.last_solve_stats] isolates the most recent call's deltas.
 
@@ -18,6 +18,7 @@
    suites sharing the process never contaminate each other. *)
 
 module Obs = Taskalloc_obs.Obs
+module Json = Taskalloc_json.Json
 module Solver = Taskalloc_sat.Solver
 module Lit = Taskalloc_sat.Lit
 module Budget = Taskalloc_sat.Budget
@@ -39,173 +40,21 @@ let php pigeons holes =
   done;
   s
 
-(* -- a tiny JSON reader: just enough to parse back our own emitters -- *)
+(* -- reading the emitters back: print, then [Json.parse] -- *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+let parse_json j = Json.parse (Json.to_string j)
 
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    then begin
-      advance ();
-      skip_ws ()
-    end
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' ->
-            Buffer.add_char buf '"';
-            advance ()
-          | '\\' ->
-            Buffer.add_char buf '\\';
-            advance ()
-          | '/' ->
-            Buffer.add_char buf '/';
-            advance ()
-          | 'n' ->
-            Buffer.add_char buf '\n';
-            advance ()
-          | 'r' ->
-            Buffer.add_char buf '\r';
-            advance ()
-          | 't' ->
-            Buffer.add_char buf '\t';
-            advance ()
-          | 'u' ->
-            advance ();
-            if !pos + 4 > n then fail "truncated \\u escape";
-            (* our emitters only produce ASCII; keep the escape opaque *)
-            Buffer.add_string buf (String.sub s !pos 4);
-            pos := !pos + 4
-          | _ -> fail "bad escape");
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            fields ((k, v) :: acc)
-          | '}' ->
-            advance ();
-            Jobj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        fields []
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then begin
-        advance ();
-        Jarr []
-      end
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            elems (v :: acc)
-          | ']' ->
-            advance ();
-            Jarr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elems []
-      end
-    | '"' -> Jstr (parse_string ())
-    | 't' ->
-      pos := !pos + 4;
-      Jbool true
-    | 'f' ->
-      pos := !pos + 5;
-      Jbool false
-    | 'n' ->
-      pos := !pos + 4;
-      Jnull
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        advance ()
-      done;
-      if !pos = start then fail "unexpected character";
-      (match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Jnum f
-      | None -> fail "bad number")
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let field name = function
-  | Jobj kvs -> (
+let field name j =
+  match j with
+  | Json.Obj kvs -> (
     match List.assoc_opt name kvs with
     | Some v -> v
     | None -> Alcotest.failf "missing field %S" name)
   | _ -> Alcotest.failf "expected an object holding %S" name
 
-let as_str = function Jstr s -> s | _ -> Alcotest.fail "expected a string"
-let as_num = function Jnum f -> f | _ -> Alcotest.fail "expected a number"
-let as_arr = function Jarr l -> l | _ -> Alcotest.fail "expected an array"
+let as_str j = Option.get (Json.to_str j)
+let as_num j = Option.get (Json.to_float j)
+let as_arr j = Option.get (Json.to_list j)
 
 (* -- histograms ----------------------------------------------------------- *)
 
@@ -444,7 +293,7 @@ let test_chaos_stop_mid_span () =
   | Some ev ->
     Alcotest.(check string) "complete phase" "X" (as_str (field "ph" ev));
     (match field "args" ev with
-    | Jobj kvs -> Alcotest.(check bool) "error attr" true (List.mem_assoc "error" kvs)
+    | Json.Obj kvs -> Alcotest.(check bool) "error attr" true (List.mem_assoc "error" kvs)
     | _ -> Alcotest.fail "args not an object")
   | None -> Alcotest.fail "abandoned span not recorded");
   Obs.clear ()
@@ -477,7 +326,7 @@ let test_trace_json_roundtrip () =
     String.split_on_char '\n' (Obs.jsonl ()) |> List.filter (fun l -> l <> "")
   in
   Alcotest.(check int) "one line per event" 3 (List.length lines);
-  List.iter (fun l -> ignore (field "name" (parse_json l))) lines;
+  List.iter (fun l -> ignore (field "name" (Json.parse l))) lines;
   Obs.clear ()
 
 let test_metrics_json_roundtrip () =

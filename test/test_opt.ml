@@ -108,18 +108,6 @@ let test_stats_populated ~inprocess () =
     (stats.sat_probes + stats.unsat_probes = stats.probes);
   Alcotest.(check int) "no interruptions" 0 stats.interrupted_probes
 
-let test_solve_feasible ~inprocess () =
-  let build () =
-    let ctx = Bv.create ~inprocess () in
-    let x = Bv.var ctx ~hi:9 in
-    Bv.assert_ ctx (Bv.ge_const ctx x 4);
-    Bv.assert_ ctx (Bv.le_const ctx x 4);
-    ctx
-  in
-  match solve_feasible ~build ~on_sat:(fun _ -> ()) () with
-  | Feasible () -> ()
-  | No_solution | Undecided -> Alcotest.fail "feasible"
-
 let prop_modes_agree ~inprocess =
   QCheck.Test.make ~count:60 ~name:"Fresh and Incremental find the same optimum"
     QCheck.(
@@ -273,7 +261,6 @@ let cases inprocess =
     Alcotest.test_case "optimum zero" `Quick (test_optimum_zero ~inprocess);
     Alcotest.test_case "on_sat extraction" `Quick (test_on_sat_extraction ~inprocess);
     Alcotest.test_case "stats populated" `Quick (test_stats_populated ~inprocess);
-    Alcotest.test_case "solve_feasible" `Quick (test_solve_feasible ~inprocess);
     Alcotest.test_case "budget unknown" `Quick (test_budget_unknown ~inprocess);
     Alcotest.test_case "timeout budget unknown" `Quick
       (test_timeout_budget_unknown ~inprocess);

@@ -816,6 +816,16 @@ let test_json_surrogates () =
       | Json.Str s' -> Alcotest.(check string) "round trip" s s'
       | _ -> Alcotest.fail "round trip lost the string")
     samples;
+  (* a finite float prints with enough digits to read back exactly *)
+  List.iter
+    (fun f ->
+      Alcotest.(check (option (float 0.)))
+        (Printf.sprintf "float %h round trip" f)
+        (Some f)
+        (Json.to_float (Json.parse (Json.to_string (Json.Float f)))))
+    [ 123456.789; 1.6e9 +. 0.123; 98765432.125; 0.1 +. 0.2; 1e-7; -2.5e300; 3e6; 0. ];
+  Alcotest.(check string) "non-finite prints null" "[null,null]"
+    (Json.to_string (Json.List [ Json.Float Float.nan; Json.Float Float.infinity ]));
   (* BMP escapes still work *)
   match Json.parse "\"\\u20ac\"" with
   | Json.Str s -> Alcotest.(check string) "euro sign" "\xe2\x82\xac" s
