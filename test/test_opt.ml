@@ -108,6 +108,25 @@ let test_stats_populated ~inprocess () =
     (stats.sat_probes + stats.unsat_probes = stats.probes);
   Alcotest.(check int) "no interruptions" 0 stats.interrupted_probes
 
+(* cube-and-conquer sums every cube's probe counters into one record:
+   the sums keep the sequential invariants, and the optimum agrees *)
+let test_cubes_stats_summed ~inprocess () =
+  let items = [ (5, 10); (4, 8); (6, 13); (3, 5); (8, 20); (2, 3); (7, 15); (1, 2) ] in
+  let build = knapsack_build ~inprocess items 40 in
+  let result, stats =
+    minimize ~jobs:2 ~parallel:`Cubes
+      ~split_vars:(List.init (List.length items) Fun.id)
+      ~build ~on_sat:(fun _ c -> c) ()
+  in
+  Alcotest.(check (option int)) "same optimum as brute force"
+    (brute_force_knapsack items 40)
+    (Option.map fst result.incumbent);
+  Alcotest.(check bool) "probes > 0" true (stats.probes > 0);
+  Alcotest.(check bool) "vars > 0" true (stats.bool_vars > 0);
+  Alcotest.(check int) "sat+unsat=probes" stats.probes
+    (stats.sat_probes + stats.unsat_probes);
+  Alcotest.(check int) "no interruptions" 0 stats.interrupted_probes
+
 let prop_modes_agree ~inprocess =
   QCheck.Test.make ~count:60 ~name:"Fresh and Incremental find the same optimum"
     QCheck.(
@@ -261,6 +280,7 @@ let cases inprocess =
     Alcotest.test_case "optimum zero" `Quick (test_optimum_zero ~inprocess);
     Alcotest.test_case "on_sat extraction" `Quick (test_on_sat_extraction ~inprocess);
     Alcotest.test_case "stats populated" `Quick (test_stats_populated ~inprocess);
+    Alcotest.test_case "cubes stats summed" `Quick (test_cubes_stats_summed ~inprocess);
     Alcotest.test_case "budget unknown" `Quick (test_budget_unknown ~inprocess);
     Alcotest.test_case "timeout budget unknown" `Quick
       (test_timeout_budget_unknown ~inprocess);
