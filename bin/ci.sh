@@ -234,6 +234,18 @@ out=$(dune exec bin/taskalloc.exe -- explain --json --file examples/overconstrai
 [ "$rc" -eq 1 ] || { echo "FAIL: explain --json: expected exit 1, got $rc"; exit 1; }
 printf '%s\n' "$out" | valid_json "explain --json"
 
+# an infeasible solve is diagnosed by the same engine, on the same
+# encoding and budget, and still exits 1
+echo "== CLI smoke: solve diagnoses an infeasible instance =="
+rc=0
+out=$(dune exec bin/taskalloc.exe -- solve --file examples/overconstrained.prob) || rc=$?
+[ "$rc" -eq 1 ] || { echo "FAIL: solve: expected infeasible (exit 1), got $rc"; exit 1; }
+echo "$out" | grep -q "deadline of fusion-" || {
+    echo "FAIL: solve did not name a fusion deadline in its core"; echo "$out"; exit 1; }
+out=$(dune exec examples/diagnosis.exe)
+echo "$out" | grep -q "memory capacity of ECU" || {
+    echo "FAIL: diagnosis example did not name a memory capacity"; echo "$out"; exit 1; }
+
 # what-if round trip on one live session: the baseline is infeasible,
 # dropping one fusion deadline is feasible, and the baseline re-asked
 # afterwards is infeasible again (assumption state fully cleared)

@@ -10,7 +10,7 @@
 
    Example:
      taskalloc solve --workload tindell43 --objective trt
-     taskalloc solve --workload arch-a --objective sum-trt --mode fresh
+     taskalloc solve --workload arch-a --objective sum-trt --lazy
      taskalloc solve --workload small --timeout 0.5 --gap 0.05 *)
 
 open Cmdliner
@@ -48,14 +48,6 @@ let objective_arg =
     & opt (enum objectives) `Trt
     & info [ "o"; "objective" ] ~docv:"OBJ"
         ~doc:"Objective: trt, sum-trt, bus-load, max-util or feasible.")
-
-let mode_arg =
-  Arg.(
-    value
-    & opt (enum [ ("incremental", Taskalloc_opt.Opt.Incremental); ("fresh", Taskalloc_opt.Opt.Fresh) ])
-        Taskalloc_opt.Opt.Incremental
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Binary-search mode: incremental (learned-clause reuse) or fresh.")
 
 let timeout_arg =
   Arg.(
@@ -248,7 +240,7 @@ let heuristic_objective = function
   | `Max_util -> Heuristics.Max_util
 
 let solve_cmd =
-  let run file workload seed objective mode lazy_mode jobs parallel timeout
+  let run file workload seed objective lazy_mode jobs parallel timeout
       max_conflicts gap_tol no_fallback trace metrics progress =
     obs_setup ~trace ~metrics ~progress;
     let problem = lookup_workload ?file workload seed in
@@ -264,17 +256,22 @@ let solve_cmd =
       budget_of ~obs:(Obs.on () || progress) ~timeout ~max_conflicts ()
     in
     match
-      Allocator.solve ~options ~mode ~jobs ~parallel ?budget ~gap_tol
+      Allocator.solve ~options ~jobs ~parallel ?budget ~gap_tol
         ~fallback:(not no_fallback) problem (to_objective problem objective)
     with
     | Allocator.Infeasible ->
-      Fmt.pr "INFEASIBLE; probing constraint classes...@.";
-      List.iter
-        (fun (relaxation, feasible) ->
-          Fmt.pr "  %-32s %s@."
-            (Fmt.str "%a" Allocator.pp_relaxation relaxation)
-            (if feasible then "FEASIBLE (binding constraint class)" else "still infeasible"))
-        (Allocator.diagnose problem);
+      (* the verdict is proved; name the conflicting constraint groups
+         on the same encoding, with what is left of the same budget *)
+      let module Explain = Taskalloc_explain.Explain in
+      let report = Explain.explain ~options ?budget problem in
+      (match report.Explain.status with
+      | Explain.Explained _ -> Fmt.pr "%a@." Explain.pp_report report
+      | Explain.Unknown ->
+        Fmt.pr "INFEASIBLE@.diagnosis stopped: budget exhausted before a first core@."
+      | Explain.Feasible ->
+        Fmt.pr
+          "INFEASIBLE@.diagnosis found every constraint group satisfiable \
+           (encoder disagreement)@.");
       exit 1
     | Allocator.Unknown ->
       Fmt.pr
@@ -292,9 +289,9 @@ let solve_cmd =
   in
   Cmd.v (Cmd.info "solve" ~doc:"Optimally allocate a named workload or problem file")
     Term.(
-      const run $ file_arg $ workload_arg $ seed_arg $ objective_arg $ mode_arg
-      $ lazy_arg $ jobs_arg $ parallel_arg $ timeout_arg $ max_conflicts_arg
-      $ gap_arg $ no_fallback_arg $ trace_arg $ metrics_arg $ progress_arg)
+      const run $ file_arg $ workload_arg $ seed_arg $ objective_arg $ lazy_arg
+      $ jobs_arg $ parallel_arg $ timeout_arg $ max_conflicts_arg $ gap_arg
+      $ no_fallback_arg $ trace_arg $ metrics_arg $ progress_arg)
 
 let check_cmd =
   let run workload seed =
@@ -482,7 +479,8 @@ let fuzz_cmd =
                 ~doc:
                   "Differential lazy-vs-eager campaign instead: random \
                    allocation problems solved with the eager and with the \
-                   CEGAR lazy encoding, requiring identical verdicts, \
+                   CEGAR lazy encoding (inprocessed on odd iterations), \
+                   requiring identical verdicts, \
                    identical proven optima, and analyzer-clean allocations \
                    on both sides." );
             ( Fuzz.Inprocess,
@@ -697,7 +695,7 @@ let repair_cmd =
     (* --jobs parallelizes the initial allocation solve; the repair
        loop itself runs on one warm incremental session per event *)
     let alloc =
-      match Allocator.find_feasible ~jobs ?budget:(budget ()) problem with
+      match Allocator.solve ~jobs ?budget:(budget ()) problem Encode.Feasible with
       | Allocator.Solved r -> r.Allocator.allocation
       | Allocator.Infeasible ->
         Fmt.epr "initial problem is INFEASIBLE: nothing to keep running@.";

@@ -1,15 +1,17 @@
-(* Infeasibility diagnosis: when no allocation exists, targeted
-   relaxations identify which constraint class is binding.
+(* Infeasibility diagnosis: when no allocation exists, the explanation
+   engine names the constraint groups that conflict and the smallest
+   sets of groups whose removal restores feasibility.
 
    The system below over-commits ECU memory: four 8-unit controllers
    must share two 12-unit ECUs.  Placement, deadlines and the bus are
    all fine — only the memory budget is impossible — and the diagnosis
-   reports exactly that.
+   names exactly the two capacities.
 
    Run with:  dune exec examples/diagnosis.exe *)
 
 open Taskalloc_rt
 open Taskalloc_core
+module Explain = Taskalloc_explain.Explain
 
 let () =
   let arch =
@@ -50,22 +52,30 @@ let () =
   Fmt.pr "4 tasks x 8 memory units onto 2 ECUs x 12 units...@.";
   match Allocator.solve problem Encode.Feasible with
   | Allocator.Solved _ | Allocator.Unknown -> Fmt.pr "unexpectedly feasible?!@."
-  | Allocator.Infeasible ->
-    Fmt.pr "infeasible, as expected.  probing constraint classes:@.";
-    List.iter
-      (fun (relaxation, feasible) ->
-        Fmt.pr "  %-32s %s@."
-          (Fmt.str "%a" Allocator.pp_relaxation relaxation)
-          (if feasible then "FEASIBLE  <- the binding constraint class"
-           else "still infeasible"))
-      (Allocator.diagnose problem);
-    (* act on the diagnosis: double the memory and try again *)
-    let fixed =
-      Allocator.apply_relaxation problem Allocator.Drop_memory
-    in
-    (match Allocator.solve fixed Encode.Min_max_util with
-    | Allocator.Solved r ->
-      Fmt.pr "@.with the memory budget lifted, the optimum balances to %d permille:@."
-        r.Allocator.cost;
-      Fmt.pr "%a" Report.pp (Report.make fixed r.allocation)
-    | Allocator.Infeasible | Allocator.Unknown -> Fmt.pr "still infeasible?!@.")
+  | Allocator.Infeasible -> (
+    Fmt.pr "infeasible, as expected.  explaining:@.";
+    let report = Explain.explain problem in
+    Fmt.pr "%a@." Explain.pp_report report;
+    (* act on the diagnosis: double the capacities of the first
+       correction set and optimize again *)
+    match report.Explain.relaxations with
+    | [] -> Fmt.pr "no correction set found?!@."
+    | set :: _ -> (
+      let mem_capacity = Array.copy arch.Model.mem_capacity in
+      List.iter
+        (fun g ->
+          match g.Encode.kind with
+          | Encode.G_capacity e -> mem_capacity.(e) <- 2 * mem_capacity.(e)
+          | _ -> ())
+        set;
+      let fixed =
+        Model.make_problem ~arch:{ arch with Model.mem_capacity }
+          ~tasks:(List.init 4 controller)
+      in
+      match Allocator.solve fixed Encode.Min_max_util with
+      | Allocator.Solved r ->
+        Fmt.pr "@.with that capacity doubled, the optimal worst-ECU utilization \
+                is %d permille:@."
+          r.Allocator.cost;
+        Fmt.pr "%a" Report.pp (Report.make fixed r.allocation)
+      | Allocator.Infeasible | Allocator.Unknown -> Fmt.pr "still infeasible?!@."))

@@ -70,9 +70,8 @@ let heuristic_objective : Encode.objective -> Heuristics.objective = function
   | Encode.Min_max_util | Encode.Feasible -> Heuristics.Max_util
 
 let solve ?(options = Encode.default_options) ?(mode = Opt.Incremental)
-    ?(jobs = 1) ?(parallel = `Auto) ?max_conflicts ?budget ?(gap_tol = 0.)
-    ?(validate = true) ?(fallback = true) (problem : Model.problem)
-    (objective : Encode.objective) : outcome =
+    ?(jobs = 1) ?(parallel = `Auto) ?budget ?(gap_tol = 0.) ?(fallback = true)
+    (problem : Model.problem) (objective : Encode.objective) : outcome =
   let last_size = ref (0, 0) in
   (* thread the encoding through on_sat so extraction sees the matching
      selector handles even in Fresh mode, where every probe re-encodes.
@@ -152,14 +151,13 @@ let solve ?(options = Encode.default_options) ?(mode = Opt.Incremental)
       (fun () ->
         Opt.minimize ~mode ~jobs
           ~parallel:(if use_cubes then `Cubes else `Portfolio)
-          ?split_vars ~refine ?max_conflicts ?budget ~gap_tol ~build ~on_sat ())
+          ?split_vars ~refine ?budget ~gap_tol ~build ~on_sat ())
   in
+  (* optima, anytime incumbents and heuristic fallbacks alike are
+     re-checked by the independent analyzer before being handed out *)
   let solved quality (cost, allocation) =
-    (* anytime incumbents and optima alike are re-checked by the
-       independent analyzer before being handed out *)
     let violations =
-      if validate then Obs.span "validate" (fun () -> Check.check problem allocation)
-      else []
+      Obs.span "validate" (fun () -> Check.check problem allocation)
     in
     let bool_vars, literals = !last_size in
     Solved { allocation; cost; quality; stats; violations; bool_vars; literals }
@@ -181,30 +179,8 @@ let solve ?(options = Encode.default_options) ?(mode = Opt.Incremental)
       with
       | None -> Unknown
       | Some (name, allocation, cost) ->
-        let violations =
-          if validate then
-            Obs.span "validate" (fun () -> Check.check problem allocation)
-          else []
-        in
-        let bool_vars, literals = !last_size in
-        Solved
-          {
-            allocation;
-            cost;
-            quality = Heuristic name;
-            stats;
-            violations;
-            bool_vars;
-            literals;
-          }
+        solved (Heuristic name) (cost, allocation)
     end
-
-(* Feasibility without optimization. *)
-let find_feasible ?(options = Encode.default_options) ?jobs ?parallel
-    ?max_conflicts ?budget ?(validate = true) ?fallback
-    (problem : Model.problem) : outcome =
-  solve ~options ~mode:Opt.Incremental ?jobs ?parallel ?max_conflicts ?budget
-    ~validate ?fallback problem Encode.Feasible
 
 (* -- incremental integration (§6) -------------------------------------- *)
 
@@ -215,8 +191,8 @@ let find_feasible ?(options = Encode.default_options) ?jobs ?parallel
    admissible set is narrowed to the existing placement) and only the
    new tasks are free.  Routes and slots are re-optimized globally so
    the new traffic is accommodated. *)
-let solve_incremental ?options ?mode ?jobs ?parallel ?max_conflicts ?budget
-    ?gap_tol ?validate ?fallback ~(existing : Model.allocation)
+let solve_incremental ?options ?mode ?jobs ?parallel ?budget ?gap_tol ?fallback
+    ~(existing : Model.allocation)
     (problem : Model.problem) (objective : Encode.objective) : outcome =
   let n_existing = Array.length existing.Model.task_ecu in
   let tasks =
@@ -234,86 +210,8 @@ let solve_incremental ?options ?mode ?jobs ?parallel ?max_conflicts ?budget
            else task)
   in
   let pinned = Model.make_problem ~arch:problem.Model.arch ~tasks in
-  solve ?options ?mode ?jobs ?parallel ?max_conflicts ?budget ?gap_tol
-    ?validate ?fallback pinned objective
-
-(* -- infeasibility diagnosis ------------------------------------------- *)
-
-(* When a problem is infeasible, re-solve under targeted relaxations to
-   identify the binding constraint class.  Each relaxation weakens one
-   aspect; a relaxation that restores feasibility names a culprit. *)
-type relaxation =
-  | Drop_separation (* ignore all replica-separation sets *)
-  | Drop_memory (* lift every ECU memory capacity *)
-  | Scale_deadlines of int (* multiply task/message deadlines by this factor *)
-  | Drop_messages (* remove all messages (bus constraints vanish) *)
-
-let pp_relaxation ppf = function
-  | Drop_separation -> Fmt.string ppf "without separation constraints"
-  | Drop_memory -> Fmt.string ppf "without memory capacities"
-  | Scale_deadlines f -> Fmt.pf ppf "with deadlines scaled x%d" f
-  | Drop_messages -> Fmt.string ppf "without messages"
-
-let apply_relaxation (problem : Model.problem) = function
-  | Drop_separation ->
-    let tasks =
-      Array.to_list problem.Model.tasks
-      |> List.map (fun t -> { t with Model.separation = [] })
-    in
-    Model.make_problem ~arch:problem.Model.arch ~tasks
-  | Drop_memory ->
-    let arch =
-      {
-        problem.Model.arch with
-        Model.mem_capacity = Array.make problem.Model.arch.Model.n_ecus max_int;
-      }
-    in
-    Model.make_problem ~arch ~tasks:(Array.to_list problem.Model.tasks)
-  | Scale_deadlines f ->
-    let tasks =
-      Array.to_list problem.Model.tasks
-      |> List.map (fun t ->
-             {
-               t with
-               Model.deadline = min t.Model.period (t.Model.deadline * f);
-               messages =
-                 List.map
-                   (fun m -> { m with Model.msg_deadline = m.Model.msg_deadline * f })
-                   t.Model.messages;
-             })
-    in
-    Model.make_problem ~arch:problem.Model.arch ~tasks
-  | Drop_messages ->
-    let tasks =
-      Array.to_list problem.Model.tasks
-      |> List.map (fun t -> { t with Model.messages = [] })
-    in
-    Model.make_problem ~arch:problem.Model.arch ~tasks
-
-let default_relaxations =
-  [ Drop_separation; Drop_memory; Scale_deadlines 2; Drop_messages ]
-
-(* For each relaxation, is the weakened problem feasible?  Only
-   meaningful when the original is infeasible.  An [Unknown] under a
-   budget counts as not-proven-feasible. *)
-let diagnose ?(options = Encode.default_options)
-    ?(relaxations = default_relaxations) ?max_conflicts ?budget
-    (problem : Model.problem) : (relaxation * bool) list =
-  List.map
-    (fun relaxation ->
-      let feasible =
-        match apply_relaxation problem relaxation with
-        | relaxed -> (
-          match
-            find_feasible ~options ?max_conflicts ?budget ~validate:false
-              relaxed
-          with
-          | Solved _ -> true
-          | Infeasible | Unknown -> false)
-        | exception Model.Invalid_model _ -> false
-      in
-      (relaxation, feasible))
-    relaxations
+  solve ?options ?mode ?jobs ?parallel ?budget ?gap_tol ?fallback pinned
+    objective
 
 let pp_result ppf { cost; quality; stats; violations; bool_vars; literals; _ } =
   Fmt.pf ppf "cost=%d [%a] %a vars=%d lits=%d%s" cost pp_quality quality

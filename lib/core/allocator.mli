@@ -53,21 +53,21 @@ val solve :
   ?mode:Taskalloc_opt.Opt.mode ->
   ?jobs:int ->
   ?parallel:[ `Auto | `Portfolio | `Cubes ] ->
-  ?max_conflicts:int ->
   ?budget:Budget.t ->
   ?gap_tol:float ->
-  ?validate:bool ->
   ?fallback:bool ->
   Model.problem ->
   Encode.objective ->
   outcome
 (** Allocate optimally, degrading per the ladder above when [budget]
-    (total spend across all probes) or [max_conflicts] (per probe)
-    expires.  [gap_tol] stops early once the relative optimality gap is
-    within tolerance.  [validate] (default true) re-checks every
+    (total spend across all probes) expires.  [gap_tol] stops early
+    once the relative optimality gap is within tolerance.  Every
     returned allocation — including anytime incumbents and heuristic
-    fallbacks — with {!Taskalloc_rt.Check}.  [fallback] (default true)
-    enables the heuristic rung.  Never raises on budget expiry.
+    fallbacks — is re-checked with {!Taskalloc_rt.Check}.  [fallback]
+    (default true) enables the heuristic rung.  [Encode.Feasible] asks
+    for any allocation, without optimization.  Never raises on budget
+    expiry.  An [Infeasible] answer is diagnosed by
+    [Taskalloc_explain.Explain.explain].
 
     [jobs > 1] runs the underlying binary search in parallel
     ({!Taskalloc_opt.Opt.minimize} with [~jobs]): each worker
@@ -79,18 +79,6 @@ val solve :
     whenever the encoder exports hints, the portfolio otherwise.
     [jobs = 1] (default) is exactly the sequential solve. *)
 
-val find_feasible :
-  ?options:Encode.options ->
-  ?jobs:int ->
-  ?parallel:[ `Auto | `Portfolio | `Cubes ] ->
-  ?max_conflicts:int ->
-  ?budget:Budget.t ->
-  ?validate:bool ->
-  ?fallback:bool ->
-  Model.problem ->
-  outcome
-(** Feasibility without optimization; same degradation behaviour. *)
-
 val pp_result : Format.formatter -> result -> unit
 
 val solve_incremental :
@@ -98,10 +86,8 @@ val solve_incremental :
   ?mode:Taskalloc_opt.Opt.mode ->
   ?jobs:int ->
   ?parallel:[ `Auto | `Portfolio | `Cubes ] ->
-  ?max_conflicts:int ->
   ?budget:Budget.t ->
   ?gap_tol:float ->
-  ?validate:bool ->
   ?fallback:bool ->
   existing:Model.allocation ->
   Model.problem ->
@@ -114,30 +100,3 @@ val solve_incremental :
     globally.  Raises {!Model.Invalid_model} if an existing placement
     is inadmissible in the new problem; budget expiry degrades like
     {!solve}. *)
-
-(** {1 Infeasibility diagnosis} *)
-
-(** Constraint-class relaxations used to explain infeasibility. *)
-type relaxation =
-  | Drop_separation
-  | Drop_memory
-  | Scale_deadlines of int
-  | Drop_messages
-
-val pp_relaxation : Format.formatter -> relaxation -> unit
-
-val apply_relaxation : Model.problem -> relaxation -> Model.problem
-
-val default_relaxations : relaxation list
-
-val diagnose :
-  ?options:Encode.options ->
-  ?relaxations:relaxation list ->
-  ?max_conflicts:int ->
-  ?budget:Budget.t ->
-  Model.problem ->
-  (relaxation * bool) list
-(** For each relaxation of an infeasible problem, report whether the
-    weakened problem becomes feasible — a [true] entry names a binding
-    constraint class.  Under a budget, [Unknown] counts as
-    not-proven-feasible. *)

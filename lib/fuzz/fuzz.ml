@@ -608,7 +608,7 @@ let alloc_step ~fail rng (base_name, base) (alt_name, alt) =
 let disruption_step ~fail rng =
   let failf fmt = Fmt.kstr fail fmt in
   let problem = gen_disruption_problem rng in
-  match Allocator.find_feasible ~fallback:false problem with
+  match Allocator.solve ~fallback:false problem Encode.Feasible with
   | Allocator.Infeasible | Allocator.Unknown -> { zero with skipped = 1 }
   | Allocator.Solved res ->
     let alloc = res.Allocator.allocation in
@@ -691,8 +691,13 @@ let iteration ~campaign ~max_vars ~jobs ~seed i =
     match campaign with
     | Sat -> sat_step ~jobs ~inprocess:false ~max_vars ~fail rng
     | Lazy ->
+      (* odd iterations stack inprocessing on the CEGAR loop: a
+         refinement adds clauses over variables an elimination pass may
+         already have removed, which the solver must reintroduce *)
+      let lazy_ = { plain with Encode.lazy_mode = true } in
       alloc_step ~fail:fail_iteration rng ("eager", plain)
-        ("lazy", { plain with Encode.lazy_mode = true })
+        (if i land 1 = 0 then ("lazy", lazy_)
+         else ("lazy+inprocessed", { lazy_ with Encode.inprocess = Some true }))
     | Inprocess ->
       let sat_level = sat_step ~jobs ~inprocess:true ~max_vars ~fail rng in
       add sat_level

@@ -73,7 +73,8 @@ val shrink : ?jobs:int -> case -> case
     {- [Lazy]: one small full-featured allocation problem (both bus
        kinds, messages, jitter, blocking) solved through the whole
        stack with the eager and the CEGAR encoding
-       ({!Taskalloc_core.Encode.options.lazy_mode}).  Both must reach
+       ({!Taskalloc_core.Encode.options.lazy_mode}), the latter with
+       inprocessing on odd iterations.  Both must reach
        the same verdict and the same proven optimum, and both
        allocations must pass the independent analytical checker.  The
        eager encoding is the oracle: a divergence is a bug in the

@@ -97,11 +97,11 @@ let gap a =
    the solver's cumulative counters here: an incremental session
    reused across minimize runs (or a what-if session) carries history,
    and cumulative reads would cross-contaminate the probe totals. *)
-let probe stats ?(assumptions = []) ?max_conflicts ~budget ctx =
+let probe stats ~assumptions ~budget ctx =
   stats.probes <- stats.probes + 1;
   let s = Bv.solver ctx in
   let result =
-    Obs.span "opt.probe" (fun () -> Solver.solve ~assumptions ?max_conflicts ~budget s)
+    Obs.span "opt.probe" (fun () -> Solver.solve ~assumptions ~budget s)
   in
   let d = Solver.last_solve_stats s in
   stats.conflicts <- stats.conflicts + d.Solver.d_conflicts;
@@ -146,19 +146,17 @@ let next_m strategy ~lower ~best =
    (portfolio workers pass their own).
 
    [assumptions] are assumed on every probe: the minimum found is the
-   minimum *under those assumptions*.  [persist_bounds] (default true)
-   controls whether proved lower bounds [cost >= l] are asserted
-   permanently.  That assertion is sound for a dedicated solver, but
-   poison for a session shared with other clients (a what-if or repair
-   session probed under varying assumptions): a bound proved under
-   this run's assumptions need not hold without them.  Such callers
-   pass [~persist_bounds:false] — learnt clauses are still kept (they
-   never depend on assumptions), only the explicit bound assertions
-   are suppressed. *)
+   minimum *under those assumptions*.  Proved lower bounds [cost >= l]
+   are asserted permanently only when there are no assumptions: then
+   the bound is entailed by the formula itself.  Under assumptions it
+   need not hold without them, and asserting it would poison a session
+   shared with other clients (a what-if or repair session probed under
+   varying assumptions, a cube worker moving to its next cube).  Learnt
+   clauses are kept either way — they never depend on assumptions. *)
 let minimize_seq ?(mode = Incremental) ?(strategy = Bisect) ?config
-    ?(assumptions = []) ?(persist_bounds = true) ?refine
-    ?max_conflicts ?(budget = Budget.unlimited ()) ?(gap_tol = 0.)
+    ?(assumptions = []) ?refine ?(budget = Budget.unlimited ()) ?(gap_tol = 0.)
     ~(build : unit -> Bv.ctx * Bv.t) ~(on_sat : Bv.ctx -> int -> 'a) () =
+  let persist_bounds = assumptions = [] in
   let stats = empty_stats () in
   let t0 = Unix.gettimeofday () in
   (* CEGAR interlock: on a lazy encoding a [Sat] probe is only final
@@ -167,12 +165,12 @@ let minimize_seq ?(mode = Incremental) ?(strategy = Bisect) ?config
      same probe is simply re-run until the model survives the exact
      check.  Unsat/Unknown answers pass through: the lazy formula is a
      relaxation, so they are already final. *)
-  let probe stats ?assumptions ?max_conflicts ~budget ctx =
+  let probe stats ~assumptions ~budget ctx =
     match refine with
-    | None -> probe stats ?assumptions ?max_conflicts ~budget ctx
+    | None -> probe stats ~assumptions ~budget ctx
     | Some refine ->
       let rec go () =
-        match probe stats ?assumptions ?max_conflicts ~budget ctx with
+        match probe stats ~assumptions ~budget ctx with
         | Solver.Sat ->
           if Obs.span "cegar.refine" (fun () -> refine ctx) > 0 then go ()
           else Solver.Sat
@@ -260,7 +258,7 @@ let minimize_seq ?(mode = Incremental) ?(strategy = Bisect) ?config
   | Incremental -> (
     let ctx, cost = build () in
     apply_config ctx;
-    match probe stats ~assumptions ?max_conflicts ~budget ctx with
+    match probe stats ~assumptions ~budget ctx with
     | Solver.Unsat -> finish infeasible
     | Solver.Unknown -> finish unknown
     | Solver.Sat ->
@@ -294,7 +292,7 @@ let minimize_seq ?(mode = Incremental) ?(strategy = Bisect) ?config
           let assumptions =
             assumptions @ (match b with Circuits.Lit g -> [ g ] | _ -> [])
           in
-          match probe stats ~assumptions ?max_conflicts ~budget ctx with
+          match probe stats ~assumptions ~budget ctx with
           | Solver.Sat ->
             let k = Bv.model_int ctx cost in
             assert (k <= m);
@@ -314,7 +312,7 @@ let minimize_seq ?(mode = Incremental) ?(strategy = Bisect) ?config
        sharing contract), so they mean the same in every rebuild. *)
     let ctx0, cost0 = build () in
     apply_config ctx0;
-    match probe stats ~assumptions ?max_conflicts ~budget ctx0 with
+    match probe stats ~assumptions ~budget ctx0 with
     | Solver.Unsat -> finish infeasible
     | Solver.Unknown -> finish unknown
     | Solver.Sat ->
@@ -325,7 +323,7 @@ let minimize_seq ?(mode = Incremental) ?(strategy = Bisect) ?config
         apply_config ctx;
         Bv.assert_ ctx (Bv.ge_const ctx cost lower);
         Bv.assert_ ctx (Bv.le_const ctx cost m);
-        match probe stats ~assumptions ?max_conflicts ~budget ctx with
+        match probe stats ~assumptions ~budget ctx with
         | Solver.Sat ->
           let k = Bv.model_int ctx cost in
           `Sat (k, on_sat ctx k)
@@ -438,9 +436,9 @@ let install_sharing pool ~origin ctx =
 
 (* Partition-based parallel minimization: cubes over the encoder's
    decision variables split the model space exhaustively, each cube is
-   minimized independently (cube literals as extra assumptions,
-   [persist_bounds:false] — a bound proved inside one cube does not
-   hold globally), and the global optimum is the minimum over cube
+   minimized independently (cube literals as extra assumptions, so no
+   bound is persisted — a bound proved inside one cube does not hold
+   globally), and the global optimum is the minimum over cube
    optima; the problem is infeasible iff every cube is.  Workers share
    one incumbent: a cube claimed while a global incumbent [c] exists is
    probed under [cost <= c-1], so cubes that cannot improve the answer
@@ -451,13 +449,13 @@ let install_sharing pool ~origin ctx =
    whether that bound is final for the cube. *)
 type cube_close = { cb_lb : int; cb_closed : bool }
 
-let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
-    ?max_conflicts ?budget ?(gap_tol = 0.) ?split_vars ?(presolve_conflicts = 500)
-    ~(build : unit -> Bv.ctx * Bv.t) ~(on_sat : Bv.ctx -> int -> 'a) () =
+let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine ?budget
+    ?(gap_tol = 0.) ?split_vars ~(build : unit -> Bv.ctx * Bv.t)
+    ~(on_sat : Bv.ctx -> int -> 'a) () =
   let t0 = Unix.gettimeofday () in
   let seq () =
-    minimize_seq ~mode:Incremental ~assumptions:base_assumptions ?refine
-      ?max_conflicts ?budget ~gap_tol ~build ~on_sat ()
+    minimize_seq ~mode:Incremental ~assumptions:base_assumptions ?refine ?budget
+      ~gap_tol ~build ~on_sat ()
   in
   let finish (a, stats) =
     stats.time_s <- Unix.gettimeofday () -. t0;
@@ -465,7 +463,7 @@ let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
   in
   let ctx0, _cost0 = build () in
   match
-    Portfolio.Cube.generate ~target:(max 16 (4 * jobs)) ~presolve_conflicts
+    Portfolio.Cube.generate ~target:(max 16 (4 * jobs)) ~presolve_conflicts:500
       ?split_vars (Bv.solver ctx0)
   with
   | Portfolio.Cube.Decided Solver.Unsat ->
@@ -544,8 +542,7 @@ let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
                 minimize_seq ~mode:Incremental
                   ~strategy:(strategy_of_worker w)
                   ~assumptions:(base_assumptions @ cube @ bound_assum)
-                  ~persist_bounds:false ?refine ?max_conflicts
-                  ?budget:wbudget ~gap_tol
+                  ?refine ?budget:wbudget ~gap_tol
                   ~build:(fun () -> (ctx, cost))
                   ~on_sat ())
           in
@@ -643,17 +640,17 @@ let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine
    With [jobs > 1], [build] and [on_sat] are invoked concurrently from
    several domains and must be thread-safe. *)
 let minimize ?mode ?(jobs = 1) ?(parallel = `Portfolio) ?split_vars
-    ?assumptions ?persist_bounds ?refine ?max_conflicts ?budget ?(gap_tol = 0.)
+    ?assumptions ?refine ?budget ?(gap_tol = 0.)
     ~(build : unit -> Bv.ctx * Bv.t) ~(on_sat : Bv.ctx -> int -> 'a) () =
   if jobs <= 1 then
-    minimize_seq ?mode ?assumptions ?persist_bounds ?refine ?max_conflicts
-      ?budget ~gap_tol ~build ~on_sat ()
+    minimize_seq ?mode ?assumptions ?refine ?budget ~gap_tol ~build ~on_sat ()
   else if parallel = `Cubes then
-    (* cube mode owns its assumption handling ([persist_bounds] is
-       forced off inside each cube) and requires a dedicated session,
-       which every current caller of [jobs > 1] provides *)
-    minimize_cubes ~jobs ?assumptions ?refine ?max_conflicts ?budget ~gap_tol
-      ?split_vars ~build ~on_sat ()
+    (* cube mode owns its assumption handling (cube literals are
+       assumptions, so no bound is persisted inside a cube) and
+       requires a dedicated session, which every current caller of
+       [jobs > 1] provides *)
+    minimize_cubes ~jobs ?assumptions ?refine ?budget ~gap_tol ?split_vars
+      ~build ~on_sat ()
   else begin
     let t0 = Unix.gettimeofday () in
     let pool = Portfolio.Pool.create () in
@@ -678,8 +675,8 @@ let minimize ?mode ?(jobs = 1) ?(parallel = `Portfolio) ?split_vars
       Portfolio.race ~jobs ?budget
         ~worker:(fun i config ~budget ->
           minimize_seq ?mode ~strategy:(strategy_of_worker i) ~config
-            ?assumptions ?persist_bounds ?refine ?max_conflicts ?budget
-            ~gap_tol ~build:(build_for i) ~on_sat ())
+            ?assumptions ?refine ?budget ~gap_tol ~build:(build_for i)
+            ~on_sat ())
         ~conclusive:(fun (a, _) -> acceptable a)
         ()
     in

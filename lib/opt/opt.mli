@@ -12,10 +12,10 @@
       are added permanently.  This is the configuration the paper
       reports as >= 2x faster.
 
-    The loop is {e anytime}: pass a {!Budget.t} (or [max_conflicts])
-    and budget expiry yields the best model found so far together with
-    the lower bound already proved — a validated incumbent and an
-    optimality gap, never an exception. *)
+    The loop is {e anytime}: pass a {!Budget.t} and budget expiry
+    yields the best model found so far together with the lower bound
+    already proved — a validated incumbent and an optimality gap, never
+    an exception. *)
 
 open Taskalloc_bv
 
@@ -79,9 +79,7 @@ val minimize :
   ?parallel:[ `Portfolio | `Cubes ] ->
   ?split_vars:int list ->
   ?assumptions:Taskalloc_sat.Lit.t list ->
-  ?persist_bounds:bool ->
   ?refine:(Bv.ctx -> int) ->
-  ?max_conflicts:int ->
   ?budget:Budget.t ->
   ?gap_tol:float ->
   build:(unit -> Bv.ctx * Bv.t) ->
@@ -107,17 +105,15 @@ val minimize :
     [assumptions] (default none) are assumed on every probe; the
     minimum found is then the minimum {e under those assumptions}.
     They must refer to variables [build] creates deterministically.
-    [persist_bounds] (default true) permanently asserts each proved
-    lower bound [cost >= l] into the incremental session.  Callers
-    driving a {e shared} session — one reused later under different
-    assumptions, such as a what-if or repair session — must pass
-    [~persist_bounds:false]: a bound proved under this run's
-    assumptions need not hold without them, while learnt clauses (kept
-    either way) are assumption-independent and remain sound.
+    Each proved lower bound [cost >= l] is asserted permanently into
+    the incremental session iff [assumptions] is empty.  A bound proved
+    under assumptions need not hold without them, so a {e shared}
+    session — one reused later under different assumptions, such as a
+    what-if or repair session — is never poisoned by it; learnt clauses
+    (kept either way) are assumption-independent and remain sound.
 
     [budget] is shared across the whole probe sequence and governs the
-    total spend; [max_conflicts] caps each individual probe.  A
-    [gap_tol] > 0 stops the search as soon as the relative gap is
+    total spend.  A [gap_tol] > 0 stops the search as soon as the relative gap is
     within the tolerance (reported as [Feasible_budget_exhausted]).
     This function never raises on exhaustion.
 

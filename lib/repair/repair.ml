@@ -7,11 +7,11 @@
    - the *migration objective* is a sum of indicator bits, one per
      task whose pre-disruption seat is still admissible: the bit is 1
      exactly when the task's placement selector for its old seat is
-     false.  [Opt.minimize ~mode:Incremental ~persist_bounds:false]
-     binary-searches that sum under the group selectors (and any
-     standing event assumptions), so every learnt clause keeps pruning
-     later probes while nothing event-specific is ever asserted
-     permanently — the session stays sound for the next disruption;
+     false.  [Opt.minimize ~mode:Incremental] binary-searches that sum
+     under the group selectors (and any standing event assumptions) as
+     assumptions, so every learnt clause keeps pruning later probes
+     while no bound proved under them is ever asserted permanently —
+     the session stays sound for the next disruption;
 
    - ECU failures that doom no task never re-encode: the failure is
      the standing assumption set {not sel(t, failed) | t}, so the warm
@@ -414,7 +414,7 @@ let attempt ?budget ~solves sess stay_seat ~n_tasks ~extra =
     let assumptions = group_assumptions sess @ extra in
     let anytime, stats =
       Obs.span "repair.minimize" (fun () ->
-          Opt.minimize ~mode:Opt.Incremental ~assumptions ~persist_bounds:false
+          Opt.minimize ~mode:Opt.Incremental ~assumptions
             ~refine:(fun _ -> Encode.Lazy.refine enc)
             ?budget
             ~build:(fun () -> (ctx, cost))

@@ -13,9 +13,9 @@
       negated placement selector of every task on the failed ECU, and
       the migration objective — a sum of indicator bits, one per task
       that could stay on its old seat — is minimized with
-      {!Taskalloc_opt.Opt.minimize} in incremental mode
-      ([~persist_bounds:false], so the shared session stays sound for
-      later queries);
+      {!Taskalloc_opt.Opt.minimize} in incremental mode under the group
+      selectors as assumptions (so no proved bound is persisted and
+      the shared session stays sound for later queries);
     - every other event changes the arithmetic of the encoding and
       rebuilds the session against the disrupted problem, still solving
       incrementally within the repair.

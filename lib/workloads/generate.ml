@@ -297,17 +297,7 @@ let generate ?(spec = default_spec) (arch : Model.arch) : Model.problem =
       let ok =
         Array.for_all Option.is_some task_r && Array.for_all Option.is_some msg_latency
       in
-      if not ok then begin
-        if Sys.getenv_opt "TASKALLOC_GEN_DEBUG" <> None then begin
-          Array.iteri
-            (fun i r -> if r = None then Fmt.epr "gen: task %d unbounded (period %d)@." i protos.(i).p_period)
-            task_r;
-          Array.iteri
-            (fun i l -> if l = None then Fmt.epr "gen: msg %d latency unbounded@." i)
-            msg_latency
-        end;
-        attempt (seed + 7919) slack (tries - 1)
-      end
+      if not ok then attempt (seed + 7919) slack (tries - 1)
       else begin
         let scale x = int_of_float (ceil (slack *. float_of_int x)) in
         let deadline_of i =
@@ -336,13 +326,8 @@ let generate ?(spec = default_spec) (arch : Model.arch) : Model.problem =
         let problem = Model.make_problem ~arch ~tasks:(build_tasks deadline_of msg_deadline_of) in
         (* 5. final verification of the witness under the real deadlines *)
         let alloc = witness_alloc problem in
-        let violations = Check.check problem alloc in
-        if violations = [] then problem
-        else begin
-          if Sys.getenv_opt "TASKALLOC_GEN_DEBUG" <> None then
-            Fmt.epr "gen: witness check failed:@.%a@." Check.pp_report violations;
-          attempt (seed + 104729) (slack *. 1.25) (tries - 1)
-        end
+        if Check.is_feasible problem alloc then problem
+        else attempt (seed + 104729) (slack *. 1.25) (tries - 1)
       end
   in
   attempt spec.seed spec.slack 25

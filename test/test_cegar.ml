@@ -36,8 +36,8 @@ let solve_with options problem objective =
 
 (* The campaign itself lives in lib/fuzz (it also backs `taskalloc fuzz
    --lazy`); here it runs as a test with a fixed seed.  Every case is
-   solved eager and lazy and must agree on verdict, optimum, and
-   analyzer validation. *)
+   solved eager and lazy (with inprocessing on odd iterations) and must
+   agree on verdict, optimum, and analyzer validation. *)
 let differential ~iters ~seed () =
   let report = Fuzz.run ~campaign:Fuzz.Lazy ~iters ~seed () in
   let c = report.Fuzz.counts in

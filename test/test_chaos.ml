@@ -223,15 +223,16 @@ let test_chaos_portfolio options () =
         [ true; false ])
     [ 1; 2; 3; 5; 8; 13; 21; 40; 80; 200; 1000; 5000 ]
 
-let test_chaos_find_feasible options () =
-  (* the feasibility entry point degrades the same way *)
+let test_chaos_feasible options () =
+  (* the feasibility objective degrades the same way *)
   let problem = Workloads.small ~seed:7 ~n_ecus:2 ~n_tasks:4 () in
   for n = 1 to 25 do
     List.iter
       (fun fallback ->
-        let label = Printf.sprintf "find_feasible N=%d fallback=%b" n fallback in
+        let label = Printf.sprintf "feasible N=%d fallback=%b" n fallback in
         match
-          Allocator.find_feasible ~options ~budget:(chaos_budget n) ~fallback problem
+          Allocator.solve ~options ~budget:(chaos_budget n) ~fallback problem
+            Encode.Feasible
         with
         | Allocator.Solved r ->
           Alcotest.(check (list string))
@@ -297,7 +298,7 @@ let test_chaos_repair options () =
       ~tasks:[ task 0 "hi-a" 1; task 1 "hi-b" 1; task 2 "lo" 0 ]
   in
   let alloc =
-    match Allocator.find_feasible ~options problem with
+    match Allocator.solve ~options problem Encode.Feasible with
     | Allocator.Solved r -> r.Allocator.allocation
     | _ -> Alcotest.fail "chaos repair: fixture must be feasible"
   in
@@ -362,7 +363,7 @@ let cases options =
     Alcotest.test_case "chaos sweep: small sum-TRT" `Slow (test_chaos_small_sum_trt options);
     Alcotest.test_case "chaos sweep: CAN bus load" `Slow (test_chaos_can_bus_load options);
     Alcotest.test_case "chaos sweep: infeasible" `Quick (test_chaos_infeasible options);
-    Alcotest.test_case "chaos sweep: find_feasible" `Quick (test_chaos_find_feasible options);
+    Alcotest.test_case "chaos sweep: feasible objective" `Quick (test_chaos_feasible options);
     Alcotest.test_case "chaos sweep: 3-worker portfolio" `Slow (test_chaos_portfolio options);
     Alcotest.test_case "chaos sweep: online repair" `Slow (test_chaos_repair options);
   ]

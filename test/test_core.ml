@@ -38,8 +38,8 @@ let to_opt = function
   | Allocator.Infeasible -> None
   | Allocator.Unknown -> Alcotest.fail "Unknown without a budget"
 
-let solve ~options ?mode ?validate problem objective =
-  to_opt (Allocator.solve ~options ?mode ?validate problem objective)
+let solve ~options ?mode problem objective =
+  to_opt (Allocator.solve ~options ?mode problem objective)
 
 (* the quickstart instance, with a known optimum *)
 let quickstart_problem () =
@@ -402,7 +402,7 @@ let test_tie_transitivity options () =
 
 let test_feasibility_only options () =
   let problem = Workloads.small ~seed:9 () in
-  match to_opt (Allocator.find_feasible ~options problem) with
+  match solve ~options problem Encode.Feasible with
   | None -> Alcotest.fail "feasible by construction"
   | Some r ->
     Alcotest.(check (list string)) "checker clean" []
@@ -439,20 +439,6 @@ let test_formula_size_reported options () =
   | Some r ->
     Alcotest.(check bool) "vars > 0" true (r.bool_vars > 0);
     Alcotest.(check bool) "lits >= vars" true (r.literals >= r.bool_vars)
-  | None -> Alcotest.fail "feasible by construction"
-
-let test_validate_flag options () =
-  let problem = Workloads.small ~seed:13 () in
-  match solve ~options problem (Encode.Min_trt 0) with
-  | Some r ->
-    Alcotest.(check (list string)) "validated" []
-      (List.map (Fmt.str "%a" Check.pp_violation) r.violations);
-    (match solve ~options ~validate:false problem (Encode.Min_trt 0) with
-    | Some r' ->
-      Alcotest.(check int) "same optimum" r.cost r'.cost;
-      Alcotest.(check (list string)) "skipped" []
-        (List.map (Fmt.str "%a" Check.pp_violation) r'.violations)
-    | None -> Alcotest.fail "feasible")
   | None -> Alcotest.fail "feasible by construction"
 
 let test_hierarchical_brute_force_bound options () =
@@ -637,49 +623,89 @@ let test_jittery_workload_end_to_end options () =
           (List.map (Fmt.str "%a" Check.pp_violation) r.violations))
     [ 7; 8 ]
 
+module Explain = Taskalloc_explain.Explain
+
+(* what [taskalloc solve] does on an infeasible answer: explain on the
+   same options, then check that dropping the named correction set
+   restores feasibility and that an unnamed relaxation does not *)
+let diagnose ~options ?budget problem =
+  Alcotest.(check bool) "infeasible" true
+    (to_opt (Allocator.solve ~options ?budget problem Encode.Feasible) = None);
+  Explain.explain ~options ?budget problem
+
+let group_ids = List.map Encode.group_id
+
+let check_diagnosis ~options report ~core ~relaxed ~unrelated =
+  (match report.Explain.status with
+  | Explain.Explained { core = c; minimal } ->
+    Alcotest.(check bool) "minimal" true minimal;
+    Alcotest.(check (list string)) "core" core (group_ids c)
+  | _ -> Alcotest.fail "expected a named core");
+  Alcotest.(check (list (list string))) "correction sets" [ core ]
+    (List.map group_ids report.Explain.relaxations);
+  (match solve ~options relaxed Encode.Feasible with
+  | Some r ->
+    Alcotest.(check (list string)) "relaxed: checker clean" []
+      (List.map (Fmt.str "%a" Check.pp_violation) r.violations)
+  | None -> Alcotest.fail "the named relaxation must restore feasibility");
+  Alcotest.(check bool) "unrelated relaxation does not help" true
+    (solve ~options unrelated Encode.Feasible = None)
+
+let loosen_deadlines problem =
+  Model.make_problem ~arch:problem.Model.arch
+    ~tasks:
+      (Array.to_list problem.Model.tasks
+      |> List.map (fun t -> { t with Model.deadline = t.Model.period }))
+
 let test_diagnose_separation options () =
-  (* infeasible because two separated tasks share the single ECU: only
-     Drop_separation restores feasibility *)
-  let tasks =
+  (* two separated tasks that can only run on the single ECU *)
+  let tasks ~separated =
     [
       { (plain_task 0 ~period:50 ~deadline:40 ~wcets:[ (0, 5) ]) with
-        Model.separation = [ 1 ] };
+        Model.separation = (if separated then [ 1 ] else []) };
       plain_task 1 ~period:50 ~deadline:40 ~wcets:[ (0, 5) ];
     ]
   in
-  let problem = Model.make_problem ~arch:(one_ring_arch 1) ~tasks in
-  Alcotest.(check bool) "infeasible" true (solve ~options problem Encode.Feasible = None);
-  let report = Allocator.diagnose ~options problem in
-  List.iter
-    (fun (relaxation, feasible) ->
-      let expected =
-        match relaxation with Allocator.Drop_separation -> true | _ -> false
-      in
-      Alcotest.(check bool)
-        (Fmt.str "%a" Allocator.pp_relaxation relaxation)
-        expected feasible)
-    report
+  let make separated = Model.make_problem ~arch:(one_ring_arch 1) ~tasks:(tasks ~separated) in
+  let problem = make true in
+  check_diagnosis ~options (diagnose ~options problem) ~core:[ "separation:0:1" ]
+    ~relaxed:(make false) ~unrelated:(loosen_deadlines problem)
 
 let test_diagnose_memory options () =
-  (* memory-bound infeasibility: two 5-unit tasks, one 6-unit ECU *)
-  let arch = { (one_ring_arch 1) with Model.mem_capacity = [| 6 |] } in
-  let tasks =
-    [
-      { (plain_task 0 ~period:50 ~deadline:40 ~wcets:[ (0, 5) ]) with Model.memory = 5 };
-      { (plain_task 1 ~period:50 ~deadline:40 ~wcets:[ (0, 5) ]) with Model.memory = 5 };
-    ]
+  (* two 5-unit tasks on one 6-unit ECU *)
+  let make capacity =
+    let arch = { (one_ring_arch 1) with Model.mem_capacity = [| capacity |] } in
+    Model.make_problem ~arch
+      ~tasks:
+        [
+          { (plain_task 0 ~period:50 ~deadline:40 ~wcets:[ (0, 5) ]) with Model.memory = 5 };
+          { (plain_task 1 ~period:50 ~deadline:40 ~wcets:[ (0, 5) ]) with Model.memory = 5 };
+        ]
   in
-  let problem = Model.make_problem ~arch ~tasks in
-  Alcotest.(check bool) "infeasible" true (solve ~options problem Encode.Feasible = None);
-  let report = Allocator.diagnose ~options problem in
-  Alcotest.(check bool) "memory relaxation helps" true
-    (List.exists
-       (fun (r, ok) -> r = Allocator.Drop_memory && ok)
-       report);
-  Alcotest.(check bool) "separation relaxation does not" true
-    (List.exists
-       (fun (r, ok) -> r = Allocator.Drop_separation && not ok)
-       report)
+  let problem = make 6 in
+  check_diagnosis ~options (diagnose ~options problem) ~core:[ "capacity:0" ]
+    ~relaxed:(make 10) ~unrelated:(loosen_deadlines problem)
+
+let test_diagnosis_shares_budget options () =
+  (* the diagnosis runs on the solve's own budget: while it has room
+     the core is named, and once it has tripped the answer is Unknown *)
+  let stop = ref false in
+  let budget = Allocator.Budget.create ~should_stop:(fun () -> !stop) () in
+  let wcets = List.init 2 (fun e -> (e, 15)) in
+  let problem =
+    Model.make_problem ~arch:(one_ring_arch 2)
+      ~tasks:(List.init 3 (fun i -> plain_task i ~period:100 ~deadline:20 ~wcets))
+  in
+  let report = diagnose ~options ~budget problem in
+  (match report.Explain.status with
+  | Explain.Explained { core; minimal = true } ->
+    Alcotest.(check (list string)) "core" [ "deadline:0"; "deadline:1"; "deadline:2" ]
+      (List.sort compare (group_ids core))
+  | _ -> Alcotest.fail "expected a minimal core within an untripped budget");
+  stop := true;
+  match (Explain.explain ~options ~budget problem).Explain.status with
+  | Explain.Unknown -> Alcotest.(check bool) "budget tripped" true (Allocator.Budget.tripped budget)
+  | _ -> Alcotest.fail "a tripped budget must stop the diagnosis"
 
 let test_report options () =
   let problem = Workloads.small ~seed:13 () in
@@ -1081,7 +1107,6 @@ let cases options =
     Alcotest.test_case "feasibility only" `Quick (test_feasibility_only options);
     Alcotest.test_case "sum-trt = trt on flat" `Quick (test_sum_trt_equals_trt_on_flat options);
     Alcotest.test_case "formula size reported" `Quick (test_formula_size_reported options);
-    Alcotest.test_case "validate flag" `Quick (test_validate_flag options);
     Alcotest.test_case "hierarchical brute force bound" `Slow (test_hierarchical_brute_force_bound options);
     Alcotest.test_case "trt on priority bus rejected" `Quick (test_objective_trt_on_priority_bus_rejected options);
     Alcotest.test_case "forced gateway crossing" `Quick (test_message_forced_across_gateway options);
@@ -1094,6 +1119,7 @@ let cases options =
     Alcotest.test_case "report" `Quick (test_report options);
     Alcotest.test_case "diagnose separation" `Quick (test_diagnose_separation options);
     Alcotest.test_case "diagnose memory" `Quick (test_diagnose_memory options);
+    Alcotest.test_case "diagnosis shares the budget" `Quick (test_diagnosis_shares_budget options);
     Alcotest.test_case "no fallback yields Unknown" `Quick (test_no_fallback_unknown options);
     Alcotest.test_case "heuristic fallback validated" `Quick (test_heuristic_fallback_validated options);
     Alcotest.test_case "anytime quality sound" `Quick (test_anytime_quality_sound options);

@@ -81,6 +81,34 @@ let pigeonhole n =
            if i < n then mk_task i (Printf.sprintf "heavy%d" i) 100 20 (on_all 15)
            else mk_task i (Printf.sprintf "light%d" (i - n)) 100 90 (on_all 2)))
 
+(* Two one-ECU instances, each infeasible through a single group: two
+   tasks that must be separated but can only run on the one ECU, and two
+   5-unit tasks on one 6-unit ECU. *)
+let one_ecu ~memory tasks =
+  let arch =
+    {
+      arch2 with
+      Model.n_ecus = 1;
+      media = List.map (fun m -> { m with Model.ecus = [ 0 ] }) arch2.Model.media;
+      mem_capacity = [| memory |];
+    }
+  in
+  Model.make_problem ~arch ~tasks
+
+let separated_on_one_ecu () =
+  one_ecu ~memory:32
+    [
+      { (mk_task 0 "a" 50 40 [ (0, 5) ]) with Model.separation = [ 1 ] };
+      mk_task 1 "b" 50 40 [ (0, 5) ];
+    ]
+
+let memory_bound () =
+  one_ecu ~memory:6
+    [
+      { (mk_task 0 "a" 50 40 [ (0, 5) ]) with Model.memory = 5 };
+      { (mk_task 1 "b" 50 40 [ (0, 5) ]) with Model.memory = 5 };
+    ]
+
 let feasible_problem () =
   Model.make_problem ~arch:arch2
     ~tasks:
@@ -156,15 +184,18 @@ let test_core_unsat_in_isolation options () =
 
 let test_core_minimality options () =
   (* deletion oracle on a fresh encoding: the MUS is unsat and dropping
-     any single group from it is Sat *)
+     any single group from it is Sat.  Each instance has a unique MUS,
+     so the core is also checked group for group. *)
+  let deadlines n = List.init n (Printf.sprintf "deadline:%d") in
   List.iter
-    (fun problem ->
+    (fun (problem, expected) ->
       let report = Explain.explain ~options problem in
       (match report.Explain.status with
       | Explain.Explained { minimal; _ } ->
         Alcotest.(check bool) "proven minimal" true minimal
       | _ -> Alcotest.fail "expected Explained");
       let ids = core_ids report.Explain.status in
+      Alcotest.(check (list string)) "exact core" expected (List.sort compare ids);
       let assume, selector_of = fresh_session ~options problem in
       Alcotest.(check bool) "core unsat" true
         (assume_groups assume selector_of ids = Solver.Unsat);
@@ -176,7 +207,12 @@ let test_core_minimality options () =
             true
             (assume_groups assume selector_of rest = Solver.Sat))
         ids)
-    [ overconstrained (); pigeonhole 5 ]
+    [
+      (overconstrained (), deadlines 3);
+      (pigeonhole 5, deadlines 5);
+      (separated_on_one_ecu (), [ "separation:0:1" ]);
+      (memory_bound (), [ "capacity:0" ]);
+    ]
 
 let test_core_minimality_lazy () =
   (* the CEGAR encoding must reproduce the eager diagnosis: the same

@@ -472,7 +472,7 @@ let build_oracle_case (n_ecus, _n_tasks, wcets, raw_dls, crits, _, _, _) =
 let prop_repair_matches_oracle options case =
   let (n_ecus, n_tasks, _, _, _, fail, which, percent) = case in
   let problem = build_oracle_case case in
-  match Allocator.find_feasible ~options ~fallback:false problem with
+  match Allocator.solve ~options ~fallback:false problem Encode.Feasible with
   | Allocator.Solved res ->
     let event =
       if fail then Repair.Ecu_failure { ecu = which mod n_ecus }

@@ -55,7 +55,10 @@ let test_witness_feasibility options () =
       | None ->
         (* greedy can diverge from the generator's witness; fall back to
            the SAT allocator as the feasibility oracle *)
-        (match Taskalloc_core.Allocator.find_feasible ~options problem with
+        (match
+           Taskalloc_core.Allocator.solve ~options problem
+             Taskalloc_core.Encode.Feasible
+         with
         | Taskalloc_core.Allocator.Solved r ->
           Alcotest.(check (list string)) "sat witness ok" []
             (List.map (Fmt.str "%a" Check.pp_violation) r.violations)
