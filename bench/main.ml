@@ -451,8 +451,7 @@ let portfolio ~quick () =
     seeds;
   (* Optimization: minimize how many of the first k variables are true,
      subject to a near-threshold random 3-SAT formula.  Probes are
-     themselves hard refutations, so the same hedge applies; the cube
-     strategy splits on the tracked (cost-bearing) variables. *)
+     themselves hard refutations, so the same hedge applies. *)
   let n, k_track, seeds =
     if quick then (120, 20, [ 1 ]) else (200, 30, [ 7; 2; 4 ])
   in
@@ -489,37 +488,20 @@ let portfolio ~quick () =
           note_best "minvars" ~jobs
             (record ~workload:"minvars" ~strategy:"portfolio" ~seed ~jobs ~wall
                ~seq_wall:!seq_wall ~outcome ~winner:(-1) ~cost))
-        jobs_ladder;
-      List.iter
-        (fun jobs ->
-          let budget = Opt.Budget.create ~timeout () in
-          let (any, _stats), wall =
-            time (fun () ->
-                Opt.minimize ~jobs ~parallel:`Cubes
-                  ~split_vars:(List.init k_track Fun.id) ~budget ~build
-                  ~on_sat:(fun _ c -> c) ())
-          in
-          let outcome = Fmt.str "%a" Opt.pp_resolution any.Opt.resolution in
-          let cost = Option.map fst any.Opt.incumbent in
-          note_best "minvars-cubes" ~jobs
-            (record ~workload:"minvars" ~strategy:"cubes" ~seed ~jobs ~wall
-               ~seq_wall:!seq_wall ~outcome ~winner:(-1) ~cost))
-        (List.filter (fun j -> j > 1) jobs_ladder))
+        jobs_ladder)
     seeds;
   (* Allocation: a >= 30-task instance through the whole stack, so the
-     recorded speedups cover the encoder's decision-hint cube path, not
-     just synthetic CNF. *)
+     recorded speedups cover the encoder, not just synthetic CNF. *)
   let alloc_tasks = 30 in
   let alloc_problem = Workloads.task_scaling ~n:alloc_tasks () in
   Fmt.pr "  tasks30: %d-task allocation, objective max-util@." alloc_tasks;
   let alloc_seq_wall = ref 0. in
-  let alloc_run ~strategy ~jobs =
+  let alloc_run ~jobs =
     let budget = Taskalloc_sat.Budget.create ~timeout () in
     let outcome, wall =
       time (fun () ->
-          Allocator.solve
-            ~parallel:(if strategy = "cubes" then `Cubes else `Portfolio)
-            ~jobs ~budget ~fallback:false alloc_problem Encode.Min_max_util)
+          Allocator.solve ~jobs ~budget ~fallback:false alloc_problem
+            Encode.Min_max_util)
     in
     if jobs = 1 then alloc_seq_wall := wall;
     let outcome_s, cost =
@@ -533,16 +515,11 @@ let portfolio ~quick () =
       | Allocator.Infeasible -> ("infeasible", None)
       | Allocator.Unknown -> ("unknown", None)
     in
-    note_best
-      (if strategy = "cubes" then "tasks30-cubes" else "tasks30")
-      ~jobs
-      (record ~workload:"tasks30" ~strategy ~seed:42 ~jobs ~wall
+    note_best "tasks30" ~jobs
+      (record ~workload:"tasks30" ~strategy:"portfolio" ~seed:42 ~jobs ~wall
          ~seq_wall:!alloc_seq_wall ~outcome:outcome_s ~winner:(-1) ~cost)
   in
-  List.iter (fun jobs -> alloc_run ~strategy:"portfolio" ~jobs) jobs_ladder;
-  List.iter
-    (fun jobs -> alloc_run ~strategy:"cubes" ~jobs)
-    (List.filter (fun j -> j > 1) jobs_ladder);
+  List.iter (fun jobs -> alloc_run ~jobs) jobs_ladder;
   (* Inprocessing: formula-size reduction from one round of passes on
      the encoded instance, and the end-to-end conflict count with the
      scheduler off vs on.  Full runs take the paper's workload; quick

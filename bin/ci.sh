@@ -163,20 +163,7 @@ out=$(dune exec bin/taskalloc.exe -- fuzz --iters 60 --seed 2 --jobs 2)
 echo "$out" | grep -q " 0 failures" || {
     echo "FAIL: parallel fuzz campaign found discrepancies"; echo "$out"; exit 1; }
 
-# ---- cube-and-conquer + inprocessing ------------------------------------
-
-# cube-and-conquer over 2 domains on an allocation instance: the
-# lookahead splitter partitions on the encoder's decision hints and the
-# optimum must match the sequential answer
-echo "== CLI smoke: solve with --jobs 2 --parallel cubes =="
-trace=$(mktemp /tmp/ci-cubes-XXXXXX.json)
-out=$(dune exec bin/taskalloc.exe -- solve --workload small --jobs 2 \
-    --parallel cubes --trace "$trace")
-echo "$out" | grep -q "resolution: optimal" || {
-    echo "FAIL: cube solve not optimal"; echo "$out"; exit 1; }
-grep -q '"cubes\.' "$trace" || {
-    echo "FAIL: trace file missing cube spans"; exit 1; }
-rm -f "$trace" "${trace%.json}.jsonl"
+# ---- SAT-level cube-and-conquer + inprocessing --------------------------
 
 # all-cubes-Unsat certification: the per-cube DRUP traces are stitched
 # into one refutation of the input, which the checker must accept
@@ -320,10 +307,8 @@ echo "$out" | grep -q " 0 failures" || {
 echo "== CLI smoke: --trace/--metrics on a portfolio solve =="
 trace=$(mktemp /tmp/ci-trace-XXXXXX.json)
 metrics=$(mktemp /tmp/ci-metrics-XXXXXX.json)
-# --parallel auto picks cube-and-conquer on allocation problems, so pin
-# the portfolio strategy: this smoke asserts per-worker portfolio spans
 out=$(dune exec bin/taskalloc.exe -- solve --workload small --jobs 2 \
-    --parallel portfolio --trace "$trace" --metrics "$metrics")
+    --trace "$trace" --metrics "$metrics")
 echo "$out" | grep -q "resolution: optimal" || {
     echo "FAIL: traced solve not optimal"; exit 1; }
 grep -q '"traceEvents"' "$trace" || {

@@ -1,7 +1,7 @@
 (* Standalone DIMACS CNF solver built on the taskalloc CDCL engine.
 
    Usage:  dimacs_solve [--proof FILE [--binary]] [--jobs N|auto]
-                        [--parallel portfolio|cubes|auto] [--stats]
+                        [--parallel portfolio|cubes] [--stats]
                         [--assume FILE] FILE.cnf
            dimacs_solve --check PROOF FILE.cnf
    Prints "s SATISFIABLE" with a "v ..." model line, or "s UNSATISFIABLE",
@@ -26,11 +26,10 @@
 
    --jobs N ("auto" resolves to Domain.recommended_domain_count) runs
    N workers on OCaml domains.  --parallel picks the strategy:
-   "portfolio" (the default, and what "auto" means for a raw CNF,
-   which carries no structural splitting hints) races diversified
-   solvers, first conclusive worker wins; "cubes" partitions the
-   instance by lookahead over the VSIDS leaders and drains the cube
-   queue with work stealing.  With --proof, portfolio workers record
+   "portfolio" (the default) races diversified solvers, first
+   conclusive worker wins; "cubes" partitions the instance by
+   lookahead over the VSIDS leaders and drains the cube queue with
+   work stealing.  With --proof, portfolio workers record
    self-contained traces (clause import is disabled for them) and the
    winning trace verifies; in cube mode the per-cube refutations are
    tagged with their cube and stitched into one trace ending in the
@@ -47,7 +46,7 @@ let usage () =
   prerr_endline
     "usage: dimacs_solve [--proof FILE [--binary]] [--jobs N|auto] [--stats] \
      [--assume FILE]\n\
-    \                    [--parallel portfolio|cubes|auto]\n\
+    \                    [--parallel portfolio|cubes]\n\
     \                    [--trace FILE] [--metrics FILE] [--progress] FILE.cnf\n\
     \       dimacs_solve --check PROOF [--binary] FILE.cnf";
   exit 2
@@ -57,7 +56,7 @@ type opts = {
   mutable check : string option;
   mutable binary : bool;
   mutable jobs : int;
-  mutable parallel : [ `Auto | `Portfolio | `Cubes ];
+  mutable parallel : [ `Portfolio | `Cubes ];
   mutable stats : bool;
   mutable assume : string option;
   mutable cnf : string option;
@@ -69,7 +68,7 @@ type opts = {
 let parse_args () =
   let o =
     { proof = None; check = None; binary = false; jobs = 1;
-      parallel = `Auto; stats = false; assume = None; cnf = None;
+      parallel = `Portfolio; stats = false; assume = None; cnf = None;
       trace = None; metrics = None; progress = false }
   in
   let rec go = function
@@ -97,7 +96,6 @@ let parse_args () =
       | _ -> usage ())
     | "--parallel" :: p :: rest -> (
       match p with
-      | "auto" -> o.parallel <- `Auto; go rest
       | "portfolio" -> o.parallel <- `Portfolio; go rest
       | "cubes" -> o.parallel <- `Cubes; go rest
       | _ -> usage ())
@@ -433,9 +431,7 @@ let solve_cubes cnf proof_path binary jobs stats =
 let solve cnf_path proof_path binary jobs parallel stats =
   let cnf = Obs.span "parse" (fun () -> Dimacs.parse_file cnf_path) in
   match parallel with
-  (* a raw CNF exports no structural decision hints, so auto means the
-     portfolio (mirroring Allocator's rule: cubes only on hints) *)
-  | `Auto | `Portfolio -> solve_portfolio cnf proof_path binary jobs stats
+  | `Portfolio -> solve_portfolio cnf proof_path binary jobs stats
   | `Cubes -> solve_cubes cnf proof_path binary jobs stats
 
 let check proof_path cnf_path binary =

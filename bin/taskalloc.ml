@@ -121,20 +121,6 @@ let jobs_arg =
            resolves to the machine's recommended domain count.  1 (the \
            default) is exactly the sequential solver.")
 
-let parallel_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("auto", `Auto); ("portfolio", `Portfolio); ("cubes", `Cubes) ])
-        `Auto
-    & info [ "parallel" ] ~docv:"STRATEGY"
-        ~doc:
-          "Parallel strategy when $(b,--jobs) exceeds 1: 'portfolio' races \
-           diversified copies of the whole search, 'cubes' partitions the \
-           search space by cube-and-conquer over the encoder's allocation \
-           selectors, and 'auto' (the default) picks cubes whenever the \
-           encoder exports decision hints.")
-
 (* -- observability ------------------------------------------------------ *)
 
 module Obs = Taskalloc_obs.Obs
@@ -240,7 +226,7 @@ let heuristic_objective = function
   | `Max_util -> Heuristics.Max_util
 
 let solve_cmd =
-  let run file workload seed objective lazy_mode jobs parallel timeout
+  let run file workload seed objective lazy_mode jobs timeout
       max_conflicts gap_tol no_fallback trace metrics progress =
     obs_setup ~trace ~metrics ~progress;
     let problem = lookup_workload ?file workload seed in
@@ -256,7 +242,7 @@ let solve_cmd =
       budget_of ~obs:(Obs.on () || progress) ~timeout ~max_conflicts ()
     in
     match
-      Allocator.solve ~options ~jobs ~parallel ?budget ~gap_tol
+      Allocator.solve ~options ~jobs ?budget ~gap_tol
         ~fallback:(not no_fallback) problem (to_objective problem objective)
     with
     | Allocator.Infeasible ->
@@ -290,7 +276,7 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Optimally allocate a named workload or problem file")
     Term.(
       const run $ file_arg $ workload_arg $ seed_arg $ objective_arg $ lazy_arg
-      $ jobs_arg $ parallel_arg $ timeout_arg $ max_conflicts_arg $ gap_arg
+      $ jobs_arg $ timeout_arg $ max_conflicts_arg $ gap_arg
       $ no_fallback_arg $ trace_arg $ metrics_arg $ progress_arg)
 
 let check_cmd =

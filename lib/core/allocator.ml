@@ -70,7 +70,7 @@ let heuristic_objective : Encode.objective -> Heuristics.objective = function
   | Encode.Min_max_util | Encode.Feasible -> Heuristics.Max_util
 
 let solve ?(options = Encode.default_options) ?(mode = Opt.Incremental)
-    ?(jobs = 1) ?(parallel = `Auto) ?budget ?(gap_tol = 0.) ?(fallback = true)
+    ?(jobs = 1) ?budget ?(gap_tol = 0.) ?(fallback = true)
     (problem : Model.problem) (objective : Encode.objective) : outcome =
   let last_size = ref (0, 0) in
   (* thread the encoding through on_sat so extraction sees the matching
@@ -119,39 +119,11 @@ let solve ?(options = Encode.default_options) ?(mode = Opt.Incremental)
       n
     | None -> 0
   in
-  (* Parallel strategy: cube-and-conquer splits on the allocation
-     selectors (the natural "task i on ECU j" decision structure), so
-     [`Auto] picks cubes whenever the encoder exports hints and there
-     is real parallelism to exploit, and falls back to the diversified
-     portfolio otherwise (e.g. every task pinned to one ECU). *)
-  let use_cubes, split_vars =
-    if jobs <= 1 || parallel = `Portfolio then (false, None)
-    else begin
-      (* one extra encode to read the decision structure; it goes
-         through [build] so size bookkeeping stays consistent *)
-      let ctx, _ = build () in
-      let hints =
-        match enc_of ctx with
-        | Some enc -> Encode.decision_hints enc
-        | None -> []
-      in
-      match (parallel, hints) with
-      | `Auto, [] -> (false, None)
-      | (`Auto | `Cubes), _ -> (true, (if hints = [] then None else Some hints))
-      | `Portfolio, _ -> (false, None)
-    end
-  in
   let anytime, stats =
     Obs.span "solve"
-      ~attrs:
-        [
-          ("jobs", string_of_int jobs);
-          ("parallel", (if use_cubes then "cubes" else "portfolio"));
-        ]
+      ~attrs:[ ("jobs", string_of_int jobs) ]
       (fun () ->
-        Opt.minimize ~mode ~jobs
-          ~parallel:(if use_cubes then `Cubes else `Portfolio)
-          ?split_vars ~refine ?budget ~gap_tol ~build ~on_sat ())
+        Opt.minimize ~mode ~jobs ~refine ?budget ~gap_tol ~build ~on_sat ())
   in
   (* optima, anytime incumbents and heuristic fallbacks alike are
      re-checked by the independent analyzer before being handed out *)
@@ -191,7 +163,7 @@ let solve ?(options = Encode.default_options) ?(mode = Opt.Incremental)
    admissible set is narrowed to the existing placement) and only the
    new tasks are free.  Routes and slots are re-optimized globally so
    the new traffic is accommodated. *)
-let solve_incremental ?options ?mode ?jobs ?parallel ?budget ?gap_tol ?fallback
+let solve_incremental ?options ?mode ?jobs ?budget ?gap_tol ?fallback
     ~(existing : Model.allocation)
     (problem : Model.problem) (objective : Encode.objective) : outcome =
   let n_existing = Array.length existing.Model.task_ecu in
@@ -210,7 +182,7 @@ let solve_incremental ?options ?mode ?jobs ?parallel ?budget ?gap_tol ?fallback
            else task)
   in
   let pinned = Model.make_problem ~arch:problem.Model.arch ~tasks in
-  solve ?options ?mode ?jobs ?parallel ?budget ?gap_tol ?fallback pinned
+  solve ?options ?mode ?jobs ?budget ?gap_tol ?fallback pinned
     objective
 
 let pp_result ppf { cost; quality; stats; violations; bool_vars; literals; _ } =

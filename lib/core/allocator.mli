@@ -52,7 +52,6 @@ val solve :
   ?options:Encode.options ->
   ?mode:Taskalloc_opt.Opt.mode ->
   ?jobs:int ->
-  ?parallel:[ `Auto | `Portfolio | `Cubes ] ->
   ?budget:Budget.t ->
   ?gap_tol:float ->
   ?fallback:bool ->
@@ -72,11 +71,8 @@ val solve :
     [jobs > 1] runs the underlying binary search in parallel
     ({!Taskalloc_opt.Opt.minimize} with [~jobs]): each worker
     re-encodes the problem in its own solver, so encodings never cross
-    domains.  [parallel] selects the strategy: [`Portfolio] races
-    diversified copies of the whole search, [`Cubes] partitions the
-    search space by cube-and-conquer over the allocation selectors
-    ({!Encode.decision_hints}), and [`Auto] (default) picks cubes
-    whenever the encoder exports hints, the portfolio otherwise.
+    domains, and the workers race diversified copies of the whole
+    search.
     [jobs = 1] (default) is exactly the sequential solve. *)
 
 val pp_result : Format.formatter -> result -> unit
@@ -85,7 +81,6 @@ val solve_incremental :
   ?options:Encode.options ->
   ?mode:Taskalloc_opt.Opt.mode ->
   ?jobs:int ->
-  ?parallel:[ `Auto | `Portfolio | `Cubes ] ->
   ?budget:Budget.t ->
   ?gap_tol:float ->
   ?fallback:bool ->

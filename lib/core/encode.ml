@@ -1384,19 +1384,6 @@ let find_group t kind = List.find_opt (fun g -> g.kind = kind) t.groups
    the ECU is outside the task's (possibly extended) domain *)
 let task_selector t ~task ~ecu = sel_on t task ecu
 
-(* The allocation decision structure, for cube-and-conquer splitting:
-   solver variables of the a_{i,j} selector bits in task-major order.
-   Fixing these decides the whole placement, so cubes over them
-   partition the search space along the paper's Table 2/3 scaling
-   dimension. *)
-let decision_hints t =
-  Array.to_list t.sel
-  |> List.concat_map (fun row ->
-         Array.to_list row
-         |> List.filter_map (function
-              | Circuits.Lit l -> Some (Taskalloc_sat.Lit.var l)
-              | Circuits.Zero | Circuits.One -> None))
-
 (* In lazy mode a caller asking for a response-time term (e.g. a
    what-if deadline delta) forces that task's exact machinery in. *)
 let response_time t i =

@@ -129,13 +129,6 @@ val response_time : t -> int -> Taskalloc_bv.Bv.t
     tightenings reified against it.  On a lazy encoding this forces the
     task's exact machinery in first (one-time refinement). *)
 
-val decision_hints : t -> int list
-(** Solver variables of the allocation selector bits a_{i,j}, in
-    task-major encoding order — the decision structure cube-and-conquer
-    splits on ({!Taskalloc_portfolio.Portfolio.solve_cubes}'s
-    [split_vars]).  Fixing them decides the whole placement.  Stable
-    across re-encodings of the same problem with the same options. *)
-
 (** {1 CEGAR refinement} (lazy mode, [options.lazy_mode])
 
     The lazy abstraction is a relaxation of the eager formula: every

@@ -151,8 +151,8 @@ let next_m strategy ~lower ~best =
    the bound is entailed by the formula itself.  Under assumptions it
    need not hold without them, and asserting it would poison a session
    shared with other clients (a what-if or repair session probed under
-   varying assumptions, a cube worker moving to its next cube).  Learnt
-   clauses are kept either way — they never depend on assumptions. *)
+   varying assumptions).  Learnt clauses are kept either way — they
+   never depend on assumptions. *)
 let minimize_seq ?(mode = Incremental) ?(strategy = Bisect) ?config
     ?(assumptions = []) ?refine ?(budget = Budget.unlimited ()) ?(gap_tol = 0.)
     ~(build : unit -> Bv.ctx * Bv.t) ~(on_sat : Bv.ctx -> int -> 'a) () =
@@ -369,26 +369,23 @@ let combine_anytime results =
         resolution = Feasible_budget_exhausted;
       }
 
-(* sum [s]'s probe and search counters into [into] and keep the larger
-   formula size; [time_s] is the caller's to merge *)
-let add_stats ~into (s : stats) =
-  into.probes <- into.probes + s.probes;
-  into.sat_probes <- into.sat_probes + s.sat_probes;
-  into.unsat_probes <- into.unsat_probes + s.unsat_probes;
-  into.interrupted_probes <- into.interrupted_probes + s.interrupted_probes;
-  into.conflicts <- into.conflicts + s.conflicts;
-  into.decisions <- into.decisions + s.decisions;
-  into.propagations <- into.propagations + s.propagations;
-  into.bool_vars <- max into.bool_vars s.bool_vars;
-  into.literals <- max into.literals s.literals
-
+(* sum the workers' probe and search counters; keep the larger formula
+   size and the longest worker time *)
 let combine_stats results =
   let acc = empty_stats () in
   Array.iter
     (function
       | None -> ()
       | Some (_, (s : stats)) ->
-        add_stats ~into:acc s;
+        acc.probes <- acc.probes + s.probes;
+        acc.sat_probes <- acc.sat_probes + s.sat_probes;
+        acc.unsat_probes <- acc.unsat_probes + s.unsat_probes;
+        acc.interrupted_probes <- acc.interrupted_probes + s.interrupted_probes;
+        acc.conflicts <- acc.conflicts + s.conflicts;
+        acc.decisions <- acc.decisions + s.decisions;
+        acc.propagations <- acc.propagations + s.propagations;
+        acc.bool_vars <- max acc.bool_vars s.bool_vars;
+        acc.literals <- max acc.literals s.literals;
         acc.time_s <- max acc.time_s s.time_s)
     results;
   acc
@@ -432,199 +429,6 @@ let install_sharing pool ~origin ctx =
            cs))
   end
 
-(* -- cube-and-conquer mode --------------------------------------------- *)
-
-(* Partition-based parallel minimization: cubes over the encoder's
-   decision variables split the model space exhaustively, each cube is
-   minimized independently (cube literals as extra assumptions, so no
-   bound is persisted — a bound proved inside one cube does not hold
-   globally), and the global optimum is the minimum over cube
-   optima; the problem is infeasible iff every cube is.  Workers share
-   one incumbent: a cube claimed while a global incumbent [c] exists is
-   probed under [cost <= c-1], so cubes that cannot improve the answer
-   are closed by a single Unsat probe instead of a full descent. *)
-
-(* What a finished cube contributes to the global answer: a lower
-   bound on the cube's own optimum (max_int = cube proved empty), and
-   whether that bound is final for the cube. *)
-type cube_close = { cb_lb : int; cb_closed : bool }
-
-let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine ?budget
-    ?(gap_tol = 0.) ?split_vars ~(build : unit -> Bv.ctx * Bv.t)
-    ~(on_sat : Bv.ctx -> int -> 'a) () =
-  let t0 = Unix.gettimeofday () in
-  let seq () =
-    minimize_seq ~mode:Incremental ~assumptions:base_assumptions ?refine ?budget
-      ~gap_tol ~build ~on_sat ()
-  in
-  let finish (a, stats) =
-    stats.time_s <- Unix.gettimeofday () -. t0;
-    (a, stats)
-  in
-  let ctx0, _cost0 = build () in
-  match
-    Portfolio.Cube.generate ~target:(max 16 (4 * jobs)) ~presolve_conflicts:500
-      ?split_vars (Bv.solver ctx0)
-  with
-  | Portfolio.Cube.Decided Solver.Unsat ->
-    finish
-      ( { incumbent = None; lower_bound = 0; upper_bound = None; resolution = Infeasible },
-        empty_stats () )
-  | Portfolio.Cube.Decided (Solver.Sat | Solver.Unknown) ->
-    (* the presolve finished (or probing stalled): the instance is easy
-       enough that cube overhead cannot pay off — minimize sequentially *)
-    finish (seq ())
-  | Portfolio.Cube.Cubes cubes_l ->
-    let cubes = Array.of_list cubes_l in
-    let n = Array.length cubes in
-    Obs.instant "opt.cubes.plan"
-      ~attrs:[ ("cubes", string_of_int n); ("jobs", string_of_int jobs) ];
-    let work = Portfolio.Cube.Work.create ~jobs n in
-    let pool = Portfolio.Pool.create () in
-    (* shared incumbent: cost in an atomic for cheap pruning reads,
-       payload under a mutex, updated only when the cost CAS wins *)
-    let best_cost = Atomic.make max_int in
-    let best_lock = Mutex.create () in
-    let best_payload = ref None in
-    let merge_incumbent c p =
-      let rec loop () =
-        let cur = Atomic.get best_cost in
-        if c < cur then
-          if Atomic.compare_and_set best_cost cur c then begin
-            Mutex.lock best_lock;
-            (match !best_payload with
-            | Some (c', _) when c' <= c -> () (* raced by a better one *)
-            | _ -> best_payload := Some (c, p));
-            Mutex.unlock best_lock
-          end
-          else loop ()
-      in
-      loop ()
-    in
-    (* per-cube contributions; each index is written by exactly the
-       worker that claimed the cube, and read only after the join *)
-    let closes = Array.make n None in
-    let worker w config ~budget:wbudget =
-      let stats = empty_stats () in
-      let ctx, cost = build () in
-      Solver.set_config (Bv.solver ctx) config;
-      install_sharing pool ~origin:w ctx;
-      let stop () =
-        match wbudget with Some b -> Budget.exhausted b | None -> false
-      in
-      let continue_ = ref true in
-      while !continue_ && not (stop ()) do
-        match Portfolio.Cube.Work.next work ~worker:w with
-        | None -> continue_ := false
-        | Some (i, stolen) ->
-          let cube = cubes.(i) in
-          (* prune against the global incumbent captured at claim time:
-             it only ever decreases, so closing a cube under this bound
-             stays sound against the final incumbent *)
-          let ub = Atomic.get best_cost in
-          let bound_assum =
-            if ub = max_int then []
-            else
-              match Bv.le_const ctx cost (ub - 1) with
-              | Circuits.Lit g -> [ g ]
-              | Circuits.One -> []
-              | Circuits.Zero -> [] (* cost can't go below ub: probe will close the cube anyway *)
-          in
-          let a, cube_stats =
-            Obs.span "opt.cubes.cube"
-              ~attrs:
-                [
-                  ("cube", string_of_int i);
-                  ("worker", string_of_int w);
-                  ("stolen", string_of_bool stolen);
-                ]
-              (fun () ->
-                minimize_seq ~mode:Incremental
-                  ~strategy:(strategy_of_worker w)
-                  ~assumptions:(base_assumptions @ cube @ bound_assum)
-                  ?refine ?budget:wbudget ~gap_tol
-                  ~build:(fun () -> (ctx, cost))
-                  ~on_sat ())
-          in
-          add_stats ~into:stats cube_stats;
-          (match a.incumbent with
-          | Some (c, p) -> merge_incumbent c p
-          | None -> ());
-          (match a.resolution with
-          | Infeasible ->
-            (* no model under the bound: the cube's optimum (if any) is
-               >= ub, itself >= the final incumbent — closed *)
-            closes.(i) <- Some { cb_lb = ub; cb_closed = true }
-          | Optimal ->
-            let c = match a.incumbent with Some (c, _) -> c | None -> 0 in
-            closes.(i) <- Some { cb_lb = c; cb_closed = true }
-          | Feasible_budget_exhausted ->
-            closes.(i) <- Some { cb_lb = a.lower_bound; cb_closed = false };
-            continue_ := false
-          | Unknown ->
-            closes.(i) <- Some { cb_lb = 0; cb_closed = false };
-            continue_ := false)
-      done;
-      stats
-    in
-    (* no early winner: optimality needs every cube closed, so workers
-       run until the queue drains (or the parent budget cancels) *)
-    let race_outcome =
-      Portfolio.race ~jobs ?budget ~worker ~conclusive:(fun _ -> false) ()
-    in
-    let stats = empty_stats () in
-    Array.iter (Option.iter (add_stats ~into:stats)) race_outcome.Portfolio.results;
-    (if jobs > 1 then
-       match budget with
-       | None -> ()
-       | Some b ->
-         let fold f =
-           Array.fold_left
-             (fun m -> function None -> m | Some s -> max m (f s))
-             0 race_outcome.Portfolio.results
-         in
-         Budget.charge b
-           ~conflicts:(fold (fun (s : stats) -> s.conflicts))
-           ~propagations:(fold (fun (s : stats) -> s.propagations)));
-    let all_closed = Array.for_all (function Some c -> c.cb_closed | None -> false) closes in
-    let lb =
-      Array.fold_left
-        (fun m -> function Some c -> min m c.cb_lb | None -> min m 0)
-        max_int closes
-    in
-    let incumbent =
-      Mutex.lock best_lock;
-      let i = !best_payload in
-      Mutex.unlock best_lock;
-      i
-    in
-    if Obs.metrics_on () then begin
-      Obs.Metrics.set "opt.cubes.generated" n;
-      Obs.Metrics.set "opt.cubes.closed"
-        (Array.fold_left
-           (fun k -> function Some c when c.cb_closed -> k + 1 | _ -> k)
-           0 closes)
-    end;
-    let answer =
-      match incumbent with
-      | None ->
-        if all_closed then
-          (* every cube proved empty with no bound assumption in play
-             (bounds are only assumed once an incumbent exists) *)
-          { incumbent = None; lower_bound = 0; upper_bound = None; resolution = Infeasible }
-        else
-          { incumbent = None; lower_bound = (if lb = max_int then 0 else lb);
-            upper_bound = None; resolution = Unknown }
-      | Some (c, _) ->
-        let lb = min lb c in
-        if all_closed || lb >= c then
-          { incumbent; lower_bound = c; upper_bound = Some c; resolution = Optimal }
-        else
-          { incumbent; lower_bound = lb; upper_bound = Some c;
-            resolution = Feasible_budget_exhausted }
-    in
-    finish (answer, stats)
-
 (* Public entry point.  [jobs <= 1] is exactly the sequential search.
    [jobs > 1] races workers that differ in solver configuration (via
    {!Portfolio.diversify}) *and* in probe-point strategy, because on a
@@ -639,18 +443,10 @@ let minimize_cubes ~jobs ?assumptions:(base_assumptions = []) ?refine ?budget
 
    With [jobs > 1], [build] and [on_sat] are invoked concurrently from
    several domains and must be thread-safe. *)
-let minimize ?mode ?(jobs = 1) ?(parallel = `Portfolio) ?split_vars
-    ?assumptions ?refine ?budget ?(gap_tol = 0.)
+let minimize ?mode ?(jobs = 1) ?assumptions ?refine ?budget ?(gap_tol = 0.)
     ~(build : unit -> Bv.ctx * Bv.t) ~(on_sat : Bv.ctx -> int -> 'a) () =
   if jobs <= 1 then
     minimize_seq ?mode ?assumptions ?refine ?budget ~gap_tol ~build ~on_sat ()
-  else if parallel = `Cubes then
-    (* cube mode owns its assumption handling (cube literals are
-       assumptions, so no bound is persisted inside a cube) and
-       requires a dedicated session, which every current caller of
-       [jobs > 1] provides *)
-    minimize_cubes ~jobs ?assumptions ?refine ?budget ~gap_tol ?split_vars
-      ~build ~on_sat ()
   else begin
     let t0 = Unix.gettimeofday () in
     let pool = Portfolio.Pool.create () in

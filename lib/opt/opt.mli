@@ -76,8 +76,6 @@ val gap : 'a anytime -> float option
 val minimize :
   ?mode:mode ->
   ?jobs:int ->
-  ?parallel:[ `Portfolio | `Cubes ] ->
-  ?split_vars:int list ->
   ?assumptions:Taskalloc_sat.Lit.t list ->
   ?refine:(Bv.ctx -> int) ->
   ?budget:Budget.t ->
@@ -98,7 +96,7 @@ val minimize :
     installed); the probe is re-run until it returns 0, so [on_sat]
     only ever sees models that survived the exact check.  Unsat
     answers and proved lower bounds need no interlock — the lazy
-    formula is a relaxation of the exact one.  In portfolio mode the
+    formula is a relaxation of the exact one.  With [jobs > 1] the
     hook must be thread-safe and is called with each worker's own
     context.
 
@@ -117,34 +115,19 @@ val minimize :
     within the tolerance (reported as [Feasible_budget_exhausted]).
     This function never raises on exhaustion.
 
-    [jobs > 1] switches to a parallel mode chosen by [parallel]:
-
-    [`Portfolio] (default): that many workers race the whole search on
-    separate domains, diversified both in solver configuration
+    [jobs > 1] races that many workers on separate domains, each
+    running the whole search, diversified both in solver configuration
     ({!Taskalloc_portfolio.Portfolio.diversify}) and in probe-point
     strategy (bisection, top-down certification, pessimistic quartile
-    probing).
-
-    [`Cubes]: the search space is partitioned up front by
-    {!Taskalloc_portfolio.Portfolio.Cube.generate} over [split_vars]
-    (the encoder's {!Taskalloc_core.Encode.decision_hints}; VSIDS
-    leaders when absent), workers drain the cube queue with work
-    stealing, and each claimed cube runs a complete binary search
-    under the cube literals as assumptions with bounds never persisted
-    — the global optimum is the minimum over cube optima, and
-    infeasibility requires every cube proved empty.  Workers prune
-    each other through a shared incumbent: a cube claimed while an
-    incumbent [c] exists is additionally probed under [cost <= c-1],
-    so dominated cubes close with one Unsat probe.  If the splitter's
-    presolve already decides the instance, the search falls back to
-    the sequential path (cube overhead cannot pay off there).  The first worker to prove optimality or
-    infeasibility (or reach [gap_tol]) wins and cancels the rest; if
-    none concludes, the workers' proved bounds and incumbents are
-    merged, so the combined anytime answer dominates each worker's.
-    [build] and [on_sat] are then called concurrently from several
-    domains and must be thread-safe; only the coordinator polls
-    [budget] and its user hook.  [jobs = 1] is exactly the sequential
-    search, bit for bit.
+    probing).  The first worker to prove optimality or infeasibility
+    (or reach [gap_tol]) wins and cancels the rest; if none concludes,
+    the workers' proved bounds and incumbents are merged, so the
+    combined anytime answer dominates each worker's.  The returned
+    stats sum the workers' probes and search counters; a cancelled
+    worker's last probe counts as interrupted.  [build] and [on_sat]
+    are then called concurrently from several domains and must be
+    thread-safe; only the coordinator polls [budget] and its user
+    hook.  [jobs = 1] is exactly the sequential search, bit for bit.
 
     Parallel workers also exchange learnt clauses of LBD at most 4 or
     binary size, restricted to variables of the base encoding — such

@@ -367,9 +367,8 @@ module Cube = struct
   (* Generate a splitting plan on [s] (at decision level 0).  A short
      presolve may settle the instance outright; failed-literal probes
      found along the way strengthen [s] with learnt units.  Candidates
-     come from [split_vars] (the encoder's decision hints) when given,
-     otherwise from the VSIDS top of [s]. *)
-  let generate ?(target = 16) ?(presolve_conflicts = 2000) ?split_vars s =
+     are the VSIDS top of [s]. *)
+  let generate ?(target = 16) ?(presolve_conflicts = 2000) s =
     let presolved =
       Obs.span "cubes.presolve" (fun () ->
           Solver.solve ~max_conflicts:presolve_conflicts s)
@@ -377,17 +376,7 @@ module Cube = struct
     match presolved with
     | (Solver.Sat | Solver.Unsat) as r -> Decided r
     | Solver.Unknown ->
-      let candidates =
-        match split_vars with
-        | Some vs ->
-          List.filter
-            (fun v ->
-              v >= 0 && v < Solver.n_vars s
-              && (not (Solver.is_assigned s v))
-              && not (Solver.is_eliminated s v))
-            vs
-        | None -> Solver.top_vars s 64
-      in
+      let candidates = Solver.top_vars s 64 in
       let refuted = ref false in
       let scored =
         Obs.span "cubes.lookahead" (fun () ->
@@ -465,7 +454,7 @@ type 'a cube_worker_result = {
    numbering everywhere.  The builder must install [proof] (when given)
    before adding constraints, so build-time refutations reach the
    trace. *)
-let solve_cubes ?(jobs = 1) ?budget ?split_vars ?target ?presolve_conflicts
+let solve_cubes ?(jobs = 1) ?budget ?target ?presolve_conflicts
     ?(share = true) ?(share_lbd = 4)
     ?(proof : (Solver.proof_step -> unit) option) ~build () =
   let target = match target with Some t -> t | None -> max 16 (4 * jobs) in
@@ -485,7 +474,7 @@ let solve_cubes ?(jobs = 1) ?budget ?split_vars ?target ?presolve_conflicts
   let payload0, s0 = build ~proof 0 in
   if not (Solver.ok s0) then decided Solver.Unsat payload0 0
   else
-    match Cube.generate ~target ?presolve_conflicts ?split_vars s0 with
+    match Cube.generate ~target ?presolve_conflicts s0 with
     | Cube.Decided r -> decided r payload0 0
     | Cube.Cubes cubes_l ->
       let cubes = Array.of_list cubes_l in

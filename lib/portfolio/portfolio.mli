@@ -120,8 +120,8 @@ val solve :
 (** {1 Cube-and-conquer}
 
     Instead of racing duplicated searches, split the instance: a
-    lookahead pass over candidate decision variables (the encoder's
-    hints, or the VSIDS top) picks the [d] variables whose unit
+    lookahead pass over candidate decision variables (the VSIDS top)
+    picks the [d] variables whose unit
     propagations simplify both branches most, the [2^d] sign patterns
     become cubes, and workers drain the cube queue with work stealing.
     The first Sat cube cancels everyone; if {e every} cube comes back
@@ -134,41 +134,6 @@ val solve :
     cube-blocking clauses and a final resolution tree stitches them
     into the empty clause, so the combined trace passes the independent
     checker. *)
-
-module Cube : sig
-  type plan =
-    | Decided of Solver.result
-        (** the presolve or the lookahead probes settled the instance
-            on the probe solver itself *)
-    | Cubes of int list list  (** cube literals, over the split vars *)
-
-  (** Work-sharing queue over cube indexes, exposed for layers that
-      drive their own per-cube work (the optimizer runs a full
-      minimization per cube).  Worker [w] owns indexes congruent to
-      [w mod jobs] and steals from the back once its own run dry;
-      per-cube claim flags make double execution impossible. *)
-  module Work : sig
-    type t
-
-    val create : jobs:int -> int -> t
-    val next : t -> worker:int -> (int * bool) option
-    (** Next unclaimed cube index for this worker (and whether it was
-        stolen), or [None] when the queue is drained. *)
-  end
-
-  val generate :
-    ?target:int -> ?presolve_conflicts:int -> ?split_vars:int list ->
-    Solver.t -> plan
-  (** Build a splitting plan on a solver at decision level 0.  Runs a
-      presolve of at most [presolve_conflicts] (default 2000) conflicts
-      — which may decide the instance — then scores candidates with
-      failed-literal lookahead ({!Solver.probe_var}; failed literals
-      strengthen the solver as learnt units, a refuted variable decides
-      Unsat).  Splits on the best [ceil(log2 target)] variables (at
-      most 10), so at least [target] (default 16) cubes cover the
-      space.  [split_vars] restricts candidates to the encoder's
-      decision hints; unassigned VSIDS leaders are used otherwise. *)
-end
 
 type cube_stats = {
   cube_index : int;  (** index into the generated cube list *)
@@ -192,7 +157,6 @@ type 'a cube_outcome = {
 val solve_cubes :
   ?jobs:int ->
   ?budget:Budget.t ->
-  ?split_vars:int list ->
   ?target:int ->
   ?presolve_conflicts:int ->
   ?share:bool ->

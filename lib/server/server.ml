@@ -479,11 +479,14 @@ let objective_of_string = function
   | "feasible" -> Ok Encode.Feasible
   | s -> Error s
 
-let parallel_of_string = function
-  | "auto" -> Ok `Auto
-  | "portfolio" -> Ok `Portfolio
-  | "cubes" -> Ok `Cubes
-  | s -> Error s
+(* [jobs] spawns that many domains per request, and the runtime caps
+   the domains a process may hold: bound it by the count [--jobs auto]
+   resolves to, so an oversized request is refused before any spawn *)
+let jobs_param req =
+  let jobs = max 1 (int_param req "jobs" 1) in
+  let limit = Domain.recommended_domain_count () in
+  if jobs > limit then Error (err "jobs %d exceeds this host's %d domains" jobs limit)
+  else Ok jobs
 
 (* -- open --------------------------------------------------------------- *)
 
@@ -620,15 +623,14 @@ let do_solve t job =
       match objective_of_string (str_param job.jreq "objective" "trt") with
       | Error o -> err "unknown objective %S" o
       | Ok objective -> (
-        match parallel_of_string (str_param job.jreq "parallel" "auto") with
-        | Error p -> err "unknown parallel strategy %S" p
-        | Ok parallel -> (
-          let jobs = max 1 (int_param job.jreq "jobs" 1) in
+        match jobs_param job.jreq with
+        | Error e -> e
+        | Ok jobs -> (
           let fallback = bool_param job.jreq "fallback" true in
           let budget = budget_of job job.jreq in
           match
-            Allocator.solve ~options:s.soptions ~jobs ~parallel ?budget
-              ~fallback s.sproblem objective
+            Allocator.solve ~options:s.soptions ~jobs ?budget ~fallback
+              s.sproblem objective
           with
           | Allocator.Infeasible -> ok [ ("outcome", Json.Str "infeasible") ]
           | Allocator.Unknown -> ok [ ("outcome", Json.Str "unknown") ]
@@ -695,14 +697,16 @@ let do_whatif t job =
 
 let do_explain t job =
   with_session t job.jreq (fun s ->
-      let budget = budget_of job job.jreq in
-      let jobs = max 1 (int_param job.jreq "jobs" 1) in
-      let max_relaxations = int_param job.jreq "max_relaxations" 3 in
-      let report =
-        Explain.explain ~options:s.soptions ~jobs ?budget ~max_relaxations
-          s.sproblem
-      in
-      ok [ ("report", Explain.report_to_json report) ])
+      match jobs_param job.jreq with
+      | Error e -> e
+      | Ok jobs ->
+        let budget = budget_of job job.jreq in
+        let max_relaxations = int_param job.jreq "max_relaxations" 3 in
+        let report =
+          Explain.explain ~options:s.soptions ~jobs ?budget ~max_relaxations
+            s.sproblem
+        in
+        ok [ ("report", Explain.report_to_json report) ])
 
 (* -- repair ------------------------------------------------------------- *)
 

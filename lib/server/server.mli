@@ -31,9 +31,11 @@
       serialize under that session's mutex — the incremental-solver
       invariants from the CEGAR and inprocessing work (DESIGN.md
       §4g-4i) assume single-threaded sessions — while requests on
-      distinct sessions run in parallel; a request may additionally
-      use the in-request [--jobs]/[--parallel] machinery, which
-      spawns its own worker domains below this pool.
+      distinct sessions run in parallel; a [solve] or [explain] may
+      additionally ask for ["jobs"] portfolio workers, which spawn
+      their own domains below this pool.  ["jobs"] above
+      [Domain.recommended_domain_count ()] (what [--jobs auto]
+      resolves to) is refused with [bad_request] before any spawn.
     - {b Admission control.}  Every request may carry a
       [deadline_ms]; the serving layer converts it to an anytime
       {!Taskalloc_sat.Budget.t} armed with the time {e remaining} when
@@ -81,7 +83,7 @@
 
     Kinds: [ping], [open] (["workload"]+["seed"] | ["problem"] |
     ["problem_file"]; optional ["lazy"], ["cache"]), [solve]
-    (["objective"], ["jobs"], ["parallel"], ["fallback"]), [whatif]
+    (["objective"], ["jobs"], ["fallback"]), [whatif]
     (["deltas"], the {!Taskalloc_explain.Explain.Whatif.parse_deltas}
     grammar), [explain] (["max_relaxations"], ["jobs"]), [repair]
     (["event"], the scenario grammar; ["allow_shed"], ["explain"]),

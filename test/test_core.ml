@@ -38,8 +38,8 @@ let to_opt = function
   | Allocator.Infeasible -> None
   | Allocator.Unknown -> Alcotest.fail "Unknown without a budget"
 
-let solve ~options ?mode problem objective =
-  to_opt (Allocator.solve ~options ?mode problem objective)
+let solve ~options ?mode ?jobs problem objective =
+  to_opt (Allocator.solve ~options ?mode ?jobs problem objective)
 
 (* the quickstart instance, with a known optimum *)
 let quickstart_problem () =
@@ -275,6 +275,27 @@ let test_fresh_mode_agrees options () =
             "tasks12 with inprocessing: cost 10, 312 conflicts" (10, 312) (a.cost, conflicts a)
       | _ -> Alcotest.fail (name ^ ": both modes should be feasible"))
     [ ("quickstart", quickstart_problem ()); ("tasks12", Workloads.task_scaling ~n:12 ()) ]
+
+(* [--jobs 2] races the portfolio; it must prove the sequential optimum,
+   with an allocation the checker accepts *)
+let test_portfolio_agrees options () =
+  List.iter
+    (fun (name, problem) ->
+      List.iter
+        (fun objective ->
+          match (solve ~options problem objective, solve ~options ~jobs:2 problem objective) with
+          | Some seq, Some par ->
+            Alcotest.(check int) (name ^ ": same optimum") seq.cost par.cost;
+            Alcotest.(check bool) (name ^ ": proven optimal") true
+              (par.quality = Allocator.Optimal);
+            Alcotest.(check (list string)) (name ^ ": checker clean") []
+              (List.map (Fmt.str "%a" Check.pp_violation) par.violations)
+          | _ -> Alcotest.failf "%s: feasible by construction" name)
+        [ Encode.Min_sum_trt; Encode.Min_max_util ])
+    [
+      ("tasks7", Workloads.task_scaling ~n:7 ());
+      ("hierarchical C", Workloads.small_hierarchical ~seed:7 ~n_tasks:6 Workloads.C);
+    ]
 
 let test_max_util_objective options () =
   let problem = Workloads.small ~seed:5 ~n_ecus:3 ~n_tasks:6 () in
@@ -1100,6 +1121,7 @@ let cases options =
     Alcotest.test_case "binary encoding agrees" `Quick (test_binary_encoding_agrees options);
     Alcotest.test_case "cnf pb agrees" `Quick (test_cnf_pb_agrees options);
     Alcotest.test_case "fresh mode agrees" `Quick (test_fresh_mode_agrees options);
+    Alcotest.test_case "portfolio agrees with sequential" `Quick (test_portfolio_agrees options);
     Alcotest.test_case "max util objective" `Slow (test_max_util_objective options);
     Alcotest.test_case "hierarchical small" `Slow (test_hierarchical_small options);
     Alcotest.test_case "solver ties dominate" `Quick (test_solver_ties_dominate options);

@@ -205,8 +205,8 @@ let test_request_context_crosses_portfolio options () =
   let problem = Workloads.small ~seed:42 () in
   Obs.with_request "req-pf" (fun () ->
       ignore
-        (Taskalloc_core.Allocator.solve ~options ~jobs:2 ~parallel:`Portfolio
-           ~fallback:false problem Taskalloc_core.Encode.Feasible));
+        (Taskalloc_core.Allocator.solve ~options ~jobs:2 ~fallback:false
+           problem Taskalloc_core.Encode.Feasible));
   let workers =
     List.filter (fun ev -> ev.Obs.ev_name = "portfolio.worker")
       (Obs.events ~request:"req-pf" ())

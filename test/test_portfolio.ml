@@ -173,33 +173,6 @@ let test_opt_portfolio_agreement ~inprocess () =
   done;
   Alcotest.(check bool) "exercised several instances" true (!checked >= 8)
 
-(* cube-partitioned minimization finds the same optimum as sequential;
-   splitting on the cost-relevant variables stresses the shared
-   incumbent + bound-pruning path *)
-let test_opt_cubes_agreement ~inprocess () =
-  let checked = ref 0 in
-  for seed = 500 to 509 do
-    let build = minvars_build ~inprocess ~seed ~n:12 ~k:8 () in
-    let seq, _ = Opt.minimize ~jobs:1 ~build ~on_sat:(fun _ c -> c) () in
-    let cub, _ =
-      Opt.minimize ~jobs:2 ~parallel:`Cubes
-        ~split_vars:(List.init 8 Fun.id)
-        ~build ~on_sat:(fun _ c -> c) ()
-    in
-    let label = Printf.sprintf "seed %d" seed in
-    match (seq.Opt.resolution, cub.Opt.resolution) with
-    | Opt.Optimal, Opt.Optimal ->
-      incr checked;
-      let cost a = match a.Opt.incumbent with Some (c, _) -> c | None -> -1 in
-      Alcotest.(check int) (label ^ ": same optimum") (cost seq) (cost cub)
-    | Opt.Infeasible, Opt.Infeasible -> incr checked
-    | a, b ->
-      Alcotest.failf "%s: resolutions disagree (%s vs %s)" label
-        (Fmt.str "%a" Opt.pp_resolution a)
-        (Fmt.str "%a" Opt.pp_resolution b)
-  done;
-  Alcotest.(check bool) "exercised several instances" true (!checked >= 8)
-
 (* -- shared clauses actually flow (and stay sound) ---------------------- *)
 
 let test_sharing_flows () =
@@ -400,8 +373,6 @@ let suite =
       test_parallel_proof_verifies;
     Alcotest.test_case "opt portfolio agrees on optimum" `Slow
       (test_opt_portfolio_agreement ~inprocess:false);
-    Alcotest.test_case "opt cubes agree on optimum" `Slow
-      (test_opt_cubes_agreement ~inprocess:false);
     Alcotest.test_case "clause sharing flows" `Quick test_sharing_flows;
     Alcotest.test_case "cubes agree with oracle (1 and 2 domains)" `Slow
       test_cubes_agreement;
@@ -411,10 +382,8 @@ let suite =
       test_cubes_php_proof;
     Alcotest.test_case "portfolio chaos: budget vs cancel" `Slow
       test_portfolio_chaos;
-    (* the optimizer races build through [Bv.create]; once more with
-       inprocessing on every worker and every cube *)
+    (* the optimizer race builds through [Bv.create]; once more with
+       inprocessing on every worker *)
     Alcotest.test_case "opt portfolio agrees on optimum (inprocess)" `Slow
       (test_opt_portfolio_agreement ~inprocess:true);
-    Alcotest.test_case "opt cubes agree on optimum (inprocess)" `Slow
-      (test_opt_cubes_agreement ~inprocess:true);
   ]

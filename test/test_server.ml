@@ -243,6 +243,32 @@ let test_bad_deltas_and_event () =
            ]);
       Client.close c)
 
+(* [jobs] spawns that many domains per request: one above what
+   [--jobs auto] resolves to is refused before any spawn, for both
+   verbs that take it, and the limit itself still solves *)
+let test_jobs_bounded () =
+  with_server (fun listen ->
+      let c = Client.connect listen in
+      let sid, _ = open_session c in
+      let limit = Domain.recommended_domain_count () in
+      let verb kind jobs =
+        req c
+          [
+            ("kind", Json.Str kind);
+            ("session", Json.Str sid);
+            ("jobs", Json.Int jobs);
+          ]
+      in
+      check_err "solve above the domain count" "bad_request"
+        (verb "solve" (limit + 1));
+      check_err "explain above the domain count" "bad_request"
+        (verb "explain" (limit + 1));
+      let solved = verb "solve" limit in
+      check_ok "solve at the domain count" solved;
+      Alcotest.(check string) "solved at the limit" "solved"
+        (str_field "solve" solved "outcome");
+      Client.close c)
+
 (* -- admission control --------------------------------------------------- *)
 
 let test_zero_budget_returns_unknown options () =
@@ -841,6 +867,7 @@ let suite =
     Alcotest.test_case "bad open" `Quick test_bad_open;
     Alcotest.test_case "closed/evicted session errors" `Quick test_closed_session;
     Alcotest.test_case "bad deltas and events" `Quick test_bad_deltas_and_event;
+    Alcotest.test_case "jobs bounded by the domain count" `Quick test_jobs_bounded;
     Alcotest.test_case "zero budget returns unknown" `Quick
       (test_zero_budget_returns_unknown Taskalloc_core.Encode.default_options);
     Alcotest.test_case "starved deadline: non-optimal provenance" `Slow
